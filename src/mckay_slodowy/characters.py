@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, root_of_unity, sqrt2
+from .cyclotomic import Cyclotomic, root_of_unity, sqrt2, weighted_dot
 from .errors import CheckFailure, DomainError
 from .groups import FiniteGroup, NormalPair
 
@@ -137,10 +137,7 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     """(1/|G|) sum over classes of size * a(g) * conj(b(g))."""
     if a.group is not b.group:
         raise DomainError("class functions live on different groups")
-    total = Cyclotomic(0)
-    for size, x, y in zip(a.group.class_sizes(), a.values, b.values):
-        total = total + size * x * y.conj()
-    return Fraction(1, a.group.order) * total
+    return Fraction(1, a.group.order) * weighted_dot(a.group.class_sizes(), a.values, b.values)
 
 
 # -- exact family tables ----------------------------------------------------
@@ -378,11 +375,11 @@ def verify_table(tbl: CharacterTable) -> None:
                     f"row orthogonality fails at ({tbl.labels[i]}, {tbl.labels[j]}): {ip}"
                 )
     sizes = group.class_sizes()
+    ones = [1] * k
+    columns = [[chi.values[a] for chi in tbl.irreducibles] for a in range(k)]
     for a in range(k):
         for b in range(a, k):
-            total = Cyclotomic(0)
-            for chi in tbl.irreducibles:
-                total = total + chi.values[a] * chi.values[b].conj()
+            total = weighted_dot(ones, columns[a], columns[b])
             expected = Fraction(group.order, sizes[a]) if a == b else 0
             if total != Cyclotomic(Fraction(expected)):
                 raise CheckFailure(f"column orthogonality fails at classes ({a}, {b})")

@@ -19,6 +19,7 @@ from .poincare import series_cramer, series_recursion
 from .verify import summarize, verify_all, verify_pair
 
 USAGE_EXIT = 64
+PAIR_ACTIONS = ("show", "poincare")
 
 _UNICODE_MAP = [
     ("delta", "δ"),
@@ -47,6 +48,16 @@ def _unicodify(label: str) -> str:
     return out
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -72,11 +83,11 @@ def _build_parser() -> _Parser:
 
     pr = sub.add_parser("pair", help="McKay-Slodowy data of a distinguished pair")
     pr.add_argument("name", choices=PAIR_NAMES)
-    pr.add_argument("action", nargs="?", default="show", choices=("show", "poincare"))
+    pr.add_argument("action", nargs="?", default=None, choices=PAIR_ACTIONS)
     pr.add_argument("--n", type=int, default=None)
     pr.add_argument("--side", choices=("res", "ind"), default="res")
     pr.add_argument("--vertex", type=int, default=0)
-    pr.add_argument("--terms", type=int, default=10)
+    pr.add_argument("--terms", type=_positive_int, default=10)
     pr.add_argument("--closed-form", action="store_true")
     pr.add_argument("--dot", action="store_true", help="emit the graph in DOT form")
     pr.add_argument("--json", action="store_true")
@@ -87,7 +98,7 @@ def _build_parser() -> _Parser:
     po.add_argument("--n", type=int, default=None)
     po.add_argument("--side", choices=("res", "ind"), default="res")
     po.add_argument("--vertex", type=int, default=0)
-    po.add_argument("--terms", type=int, default=10)
+    po.add_argument("--terms", type=_positive_int, default=10)
     po.add_argument("--closed-form", action="store_true")
     po.add_argument("--json", action="store_true")
 
@@ -295,9 +306,20 @@ _COMMANDS = {
 }
 
 
+def _parse(parser: _Parser, argv: list[str] | None) -> argparse.Namespace:
+    args, extras = parser.parse_known_args(argv)
+    # argparse fills the optional `pair` action only from the positionals
+    # before the first option; `pair NAME --n 3 poincare` leaves it as an extra
+    if args.command == "pair" and args.action is None:
+        args.action = extras.pop(0) if extras[:1] and extras[0] in PAIR_ACTIONS else "show"
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     use_json = getattr(args, "json", False)
     try:
         return _COMMANDS[args.command](args)

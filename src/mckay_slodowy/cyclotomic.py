@@ -464,6 +464,39 @@ def _poly_divmod_q(a: list[Fraction], b: list[Fraction]):
     return q, a[:db] if db > 0 else [Fraction(0)]
 
 
+def _integral(c: Fraction) -> int | Fraction:
+    return c.numerator if c.denominator == 1 else c
+
+
+def weighted_dot(weights, xs, ys) -> Cyclotomic:
+    """sum_i weights[i] * xs[i] * conj(ys[i]) for rational weights and
+    cyclotomic values, in one pass.
+
+    Every value is embedded once into Z[x]/(x^m - 1), m the lcm of the
+    conductors, where zeta_n^j is x^(j*m/n) and conjugation is x^k -> x^-k.
+    Coefficients accumulate as integers (Fractions only where a coefficient is
+    not integral); the sum is reduced modulo Phi_m and canonicalised once.
+    """
+    terms = []
+    m = 1
+    for w, x, y in zip(weights, xs, ys):
+        x = x if isinstance(x, Cyclotomic) else Cyclotomic(x)
+        y = y if isinstance(y, Cyclotomic) else Cyclotomic(y)
+        if w and x and y:
+            terms.append((_integral(w) if isinstance(w, Fraction) else w, x, y))
+            m = lcm(m, x.conductor, y.conductor)
+    acc = [0] * m
+    for w, x, y in terms:
+        sx, sy = m // x.conductor, m // y.conductor
+        xc = [(j * sx, w * _integral(c)) for j, c in enumerate(x.coeffs) if c]
+        yc = [((-j * sy) % m, _integral(c)) for j, c in enumerate(y.coeffs) if c]
+        for a, u in xc:
+            for b, v in yc:
+                acc[(a + b) % m] += u * v
+    reduced = _reduce_mod_phi(m, acc)
+    return Cyclotomic._raw(m, [Fraction(c) for c in reduced])
+
+
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
     """zeta_n^k in canonical (minimal-conductor) form."""
     if n < 1:

@@ -134,9 +134,16 @@ class Permutation:
 
 class FiniteGroup:
     """A concrete finite group: ordered elements (identity first), conjugacy
-    classes and chosen class representatives."""
+    classes and chosen class representatives.
 
-    def __init__(self, elements, generators, name=""):
+    Products are computed on indices, never on elements: ``_right[k][i]`` is
+    the index of ``elements[i] * generators[k]``, and the breadth-first
+    spanning tree ``elements[i] = elements[_parent[i]] * generators[_parent_gen[i]]``
+    turns those tables into inverses, conjugation by the generators and
+    general products.  Memory is O(|G| * #generators).
+    """
+
+    def __init__(self, elements, generators, name="", right_mul=None):
         self.elements = list(elements)
         self.order = len(self.elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
@@ -144,28 +151,79 @@ class FiniteGroup:
         self.name = name
         self.family_info: tuple[str, int | None] | None = None
         self.class_labels: list[str] | None = None
-        self._inverses: list[int] | None = None
         self._element_orders: list[int] | None = None
-        self._mul_cache: dict[tuple[int, int], int] = {}
+        if right_mul is None:
+            try:
+                right_mul = [[self.index[e * g] for e in self.elements] for g in self.generators]
+            except KeyError:
+                raise DomainError("elements are not closed under the generators") from None
+        self._right: list[list[int]] = right_mul
+        self._spanning_tree()
         self.classes: list[list[int]] = []
         self.class_reps: list[int] = []
         self.class_of: list[int] = []
         self._compute_classes()
 
+    def _spanning_tree(self) -> None:
+        """Breadth-first tree from the identity (index 0) over the right
+        multiplication tables, then every inverse by one pass down the tree:
+        (w * a)^-1 = a^-1 * w^-1."""
+        right, n = self._right, self.order
+        for k, g in enumerate(self.generators):
+            if self.index.get(g) != right[k][0]:
+                raise DomainError("the first element must be the identity")
+        parent, parent_gen = [0] * n, [-1] * n
+        seen = [False] * n
+        seen[0] = True
+        tree_order = [0]
+        for w in tree_order:
+            for k, row in enumerate(right):
+                p = row[w]
+                if not seen[p]:
+                    seen[p] = True
+                    parent[p], parent_gen[p] = w, k
+                    tree_order.append(p)
+        if len(tree_order) != n:
+            raise DomainError("the generators do not generate every element")
+        self._parent, self._parent_gen = parent, parent_gen
+        # left multiplication by a^-1 along the tree: a^-1 (w b) = (a^-1 w) b
+        left_inv = []
+        for row in right:
+            table = [0] * n
+            table[0] = row.index(0)
+            for j in tree_order[1:]:
+                table[j] = right[parent_gen[j]][table[parent[j]]]
+            left_inv.append(table)
+        inverses = [0] * n
+        for j in tree_order[1:]:
+            inverses[j] = left_inv[parent_gen[j]][inverses[parent[j]]]
+        self._inverses = inverses
+
     # -- basic operations ------------------------------------------------
 
+    def _word(self, j: int) -> list[int]:
+        """Generator indices spelling element j from the identity, in order."""
+        word = []
+        while j:
+            word.append(self._parent_gen[j])
+            j = self._parent[j]
+        word.reverse()
+        return word
+
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        out = self._mul_cache.get(key)
-        if out is None:
-            out = self.index[self.elements[i] * self.elements[j]]
-            self._mul_cache[key] = out
-        return out
+        right = self._right
+        for k in self._word(j):
+            i = right[k][i]
+        return i
 
     def inv(self, i: int) -> int:
-        if self._inverses is None:
-            self._inverses = [self.index[e.inverse()] for e in self.elements]
         return self._inverses[i]
+
+    def conjugate_by_generator(self, x: int, k: int) -> int:
+        """generators[k]^-1 * x * generators[k], as an index."""
+        r, inv = self._right[k], self._inverses
+        # g^-1 y = (y^-1 g)^-1 with y = x g
+        return inv[r[inv[r[x]]]]
 
     def element_order(self, i: int) -> int:
         if self._element_orders is None:
@@ -188,8 +246,7 @@ class FiniteGroup:
 
     def _compute_classes(self) -> None:
         # conjugation by generators generates conjugation by the whole group
-        gen_idx = [self.index[g] for g in self.generators]
-        gen_inv = [self.index[self.elements[g].inverse()] for g in gen_idx]
+        gens = range(len(self.generators))
         seen = [False] * self.order
         classes = []
         for start in range(self.order):
@@ -197,17 +254,12 @@ class FiniteGroup:
                 continue
             orbit = [start]
             seen[start] = True
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g, gi in zip(gen_idx, gen_inv):
-                        y = self.mul(self.mul(g, x), gi)
-                        if not seen[y]:
-                            seen[y] = True
-                            orbit.append(y)
-                            nxt.append(y)
-                frontier = nxt
+            for x in orbit:
+                for k in gens:
+                    y = self.conjugate_by_generator(x, k)
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
             classes.append(sorted(orbit))
         classes.sort(key=lambda c: c[0])
         self.classes = classes
@@ -253,7 +305,8 @@ class FiniteGroup:
 
 def generate(gens, max_order: int | None = None, name: str = "") -> FiniteGroup:
     """Close a nonempty generator list under multiplication (breadth-first
-    from the identity, generator order as given)."""
+    from the identity, generator order as given).  Each product w * g is
+    computed once and kept as the group's right multiplication table."""
     gens = list(gens)
     if not gens:
         raise DomainError("at least one generator required")
@@ -270,22 +323,21 @@ def generate(gens, max_order: int | None = None, name: str = "") -> FiniteGroup:
     bound = _max_order(max_order)
     elements = [identity]
     index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                p = w * g
-                if p not in index:
-                    if len(elements) >= bound:
-                        raise ClosureBoundExceeded(
-                            f"closure exceeded the bound of {bound} elements"
-                        )
-                    index[p] = len(elements)
-                    elements.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    return FiniteGroup(elements, gens, name=name)
+    # right[k][i] = index of elements[i] * gens[k]; the queue is the element list
+    right: list[list[int]] = [[] for _ in gens]
+    for w in elements:
+        for row, g in zip(right, gens):
+            p = w * g
+            j = index.get(p)
+            if j is None:
+                if len(elements) >= bound:
+                    raise ClosureBoundExceeded(
+                        f"closure exceeded the bound of {bound} elements"
+                    )
+                j = index[p] = len(elements)
+                elements.append(p)
+            row.append(j)
+    return FiniteGroup(elements, gens, name=name, right_mul=right)
 
 
 # -- the named families ---------------------------------------------------
@@ -315,12 +367,12 @@ def _tetra_generators() -> tuple[Matrix2, Matrix2, Matrix2]:
 def family(name: str, n: int | None = None, max_order: int | None = None) -> FiniteGroup:
     """One of the named group families, with conjugacy class representatives
     ordered to match its character table columns.  Results are shared
-    (memoized) per parameter set."""
-    return _family_cached(name, n, max_order)
+    (memoized) per parameter set and effective order bound."""
+    return _family_cached(name, n, _max_order(max_order))
 
 
 @lru_cache(maxsize=None)
-def _family_cached(name: str, n: int | None, max_order: int | None) -> FiniteGroup:
+def _family_cached(name: str, n: int | None, max_order: int) -> FiniteGroup:
     if name not in FAMILY_NAMES:
         raise DomainError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
 
@@ -429,14 +481,11 @@ class NormalPair:
         self.index = G.order // N.order
         image = set(self.embed)
         # conjugation by the generators implies conjugation by all of G
-        for gen in G.generators:
-            g = G.index[gen]
-            gi = G.inv(g)
+        for k in range(len(G.generators)):
             for h in self.embed:
-                if G.mul(G.mul(g, h), gi) not in image:
+                if G.conjugate_by_generator(h, k) not in image:
                     raise DomainError(f"{N.name} is not normal in {G.name}")
         self._image = image
-        self._g_to_n = {gidx: nidx for nidx, gidx in enumerate(self.embed)}
         self.upsilonN = [
             ci for ci, rep in enumerate(G.class_reps) if rep in image
         ]
@@ -464,19 +513,16 @@ class NormalPair:
         return None
 
     def induction_profile(self) -> list[dict[int, int]]:
-        """For each G-class rep g, the counts {N-class: #{x in G : x^-1 g x in that class}}."""
+        """For each G-class rep g, the counts {N-class: #{x in G : x^-1 g x in that class}}.
+
+        x -> x^-1 g x maps G onto Cl_G(g) with fibres of size |G| / |Cl_G(g)|,
+        so an N-class c inside Cl_G(g) is hit |c| * |G| / |Cl_G(g)| times
+        (Isaacs, Character Theory of Finite Groups, ch. 5)."""
         if self._induction_profile is None:
-            G = self.G
-            profile: list[dict[int, int]] = []
-            for rep in G.class_reps:
-                counts: dict[int, int] = {}
-                for x in range(G.order):
-                    y = G.mul(G.mul(G.inv(x), rep), x)
-                    n_idx = self._g_to_n.get(y)
-                    if n_idx is not None:
-                        nc = self.N.class_of[n_idx]
-                        counts[nc] = counts.get(nc, 0) + 1
-                profile.append(counts)
+            G, N = self.G, self.N
+            profile: list[dict[int, int]] = [{} for _ in G.classes]
+            for nc, gc in enumerate(self.n_class_to_g_class):
+                profile[gc][nc] = len(N.classes[nc]) * G.order // len(G.classes[gc])
             self._induction_profile = profile
         return self._induction_profile
 
@@ -492,12 +538,12 @@ PAIR_N_MIN = {"A2n-1^2": 3, "Dn+1^2": 2, "A2n^2": 2}
 
 def normal_pair(name: str, n: int | None = None, max_order: int | None = None) -> NormalPair:
     """One of the distinguished pairs N < G, with the standard embeddings.
-    Results are shared (memoized) per parameter set."""
-    return _normal_pair_cached(name, n, max_order)
+    Results are shared (memoized) per parameter set and effective order bound."""
+    return _normal_pair_cached(name, n, _max_order(max_order))
 
 
 @lru_cache(maxsize=None)
-def _normal_pair_cached(name: str, n: int | None, max_order: int | None) -> NormalPair:
+def _normal_pair_cached(name: str, n: int | None, max_order: int) -> NormalPair:
     if name not in PAIR_NAMES:
         raise DomainError(f"unknown pair {name!r}; choose from {PAIR_NAMES}")
     if name in PAIR_N_MIN:

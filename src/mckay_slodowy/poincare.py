@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import Character, table
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, weighted_dot
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
 from .mckay import FusionData, default_module, fusion_matrices
@@ -206,31 +206,50 @@ def brute_force_multiplicity(
     constituents, straight from the character inner products."""
     if k > bound:
         raise DomainError(f"tensor power {k} exceeds the bound {bound}")
+    group, tbl, chi_v, mult_vectors = _brute_force_side(data, side)
+    return _member_multiplicity(group, tbl, [v**k for v in chi_v], mult_vectors[vertex])
+
+
+def brute_force_series(
+    data: FusionData, side: str, K: int, bound: int = DEFAULT_BRUTE_FORCE_BOUND
+) -> list[list[int]]:
+    """brute_force_multiplicity for every vertex and every k = 0..K, one list
+    per vertex; the powers chi_V^k are computed once for all of them."""
+    if K > bound:  # name the first power out of reach, as the single-k entry point does
+        raise DomainError(f"tensor power {bound + 1} exceeds the bound {bound}")
+    group, tbl, chi_v, mult_vectors = _brute_force_side(data, side)
+    out: list[list[int]] = [[] for _ in mult_vectors]
+    power = [Cyclotomic(1)] * len(chi_v)
+    for k in range(K + 1):
+        if k:
+            power = [p * v for p, v in zip(power, chi_v)]
+        for series, mults in zip(out, mult_vectors):
+            series.append(_member_multiplicity(group, tbl, power, mults))
+    return out
+
+
+def _brute_force_side(data: FusionData, side: str):
+    """(group, its table, chi_V on its classes, constituent multiplicities of
+    each basis member) for one side."""
     _require_self_dual(data.V)
     pair = data.pair
     if side == "restriction":
-        group, tbl = pair.N, table(pair.N)
         chi_v = [data.V.values[gc] for gc in pair.n_class_to_g_class]
-        mults = data.rbasis.mult_vectors[vertex]
-    elif side == "induction":
-        group, tbl = pair.G, table(pair.G)
-        chi_v = list(data.V.values)
-        mults = data.ibasis.mult_vectors[vertex]
-    else:
-        raise DomainError(f"side must be one of {SIDES}")
+        return pair.N, table(pair.N), chi_v, data.rbasis.mult_vectors
+    if side == "induction":
+        return pair.G, table(pair.G), list(data.V.values), data.ibasis.mult_vectors
+    raise DomainError(f"side must be one of {SIDES}")
+
+
+def _member_multiplicity(group, tbl, power, mults) -> int:
+    """sum over constituents c of mult_c * <chi_V^k, c>, with chi_V^k given per class."""
     sizes = group.class_sizes()
-    powers = [Cyclotomic(1)] * len(chi_v)
-    for _ in range(k):
-        powers = [p * v for p, v in zip(powers, chi_v)]
     total = 0
     for const_idx, mult in enumerate(mults):
         if not mult:
             continue
-        acc = Cyclotomic(0)
-        const_vals = tbl.irreducibles[const_idx].values
-        for size, pw, cv in zip(sizes, powers, const_vals):
-            acc = acc + size * pw * cv.conj()
-        val = Fraction(1, group.order) * acc
+        dot = weighted_dot(sizes, power, tbl.irreducibles[const_idx].values)
+        val = Fraction(1, group.order) * dot
         if not val.is_integer() or val.to_integer() < 0:
             raise CheckFailure(f"brute-force multiplicity {val} is not a non-negative integer")
         total += mult * val.to_integer()

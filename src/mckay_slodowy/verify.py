@@ -22,7 +22,7 @@ from .mckay import (
 from .poincare import (
     MAIN_RELATION_PAIRS,
     SPECIAL_RELATION_PAIRS,
-    brute_force_multiplicity,
+    brute_force_series,
     corollary_relation_check,
     denominator_identity_check,
     invariants_series_check,
@@ -444,10 +444,11 @@ def frobenius_check_count(pair: NormalPair) -> int:
 
 def triple_equivalence_check(data, k_max: int) -> None:
     for side in ("restriction", "induction"):
+        brute_side = brute_force_series(data, side, k_max)
         for vertex in range(data.size):
             rec = series_recursion(data, side, vertex, k_max)
             closed = series_cramer(data, side, vertex).coefficients(k_max + 1)
-            brute = [brute_force_multiplicity(data, side, vertex, k) for k in range(k_max + 1)]
+            brute = brute_side[vertex]
             if not (rec == closed == brute):
                 raise CheckFailure(
                     f"{data.pair.name} {side} vertex {vertex}: recursion {rec}, "

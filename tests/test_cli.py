@@ -155,3 +155,39 @@ def test_verify_all_small_range(capsys):
     assert "FAIL" not in out
     assert "Chebyshev identity suite" in out
     assert "exponent duality" in out
+
+
+def test_pair_action_after_options(capsys):
+    opts = ["--n", "3", "--side", "ind", "--vertex", "1", "--terms", "7", "--closed-form"]
+    outputs = []
+    for argv in (
+        ["pair", "A2n^2", "poincare", *opts],
+        ["pair", "A2n^2", *opts, "poincare"],
+        ["pair", "A2n^2", "--n", "3", "poincare", *opts[2:]],
+    ):
+        for extra in ([], ["--json"]):
+            code, out, err = _capture(capsys, argv + extra)
+            assert code == 0 and not err, argv
+            outputs.append((tuple(extra), out))
+    assert len(set(outputs)) == 2
+    code, out, _ = _capture(capsys, ["pair", "E6^2", "--unicode", "show"])
+    assert code == 0
+    assert out == _capture(capsys, ["pair", "E6^2", "--unicode"])[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pair", "E6^2", "poincare", "--terms", "0"],
+        ["pair", "A2n^2", "--n", "3", "--terms", "-1", "poincare"],
+        ["poincare", "--pair", "E6^2", "--terms", "-3"],
+        ["poincare", "--pair", "E6^2", "--terms", "x"],
+        ["pair", "E6^2", "--n", "3", "frobnicate"],
+        ["pair", "E6^2", "show", "--n", "3", "poincare"],
+    ],
+)
+def test_pair_and_poincare_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 64
+    assert "error:" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from mckay_slodowy.cyclotomic import (
     root_of_unity,
     sqrt2,
     sqrt_minus1,
+    weighted_dot,
 )
 
 
@@ -175,3 +176,43 @@ def test_to_complex_is_multiplicative(x, y):
     got = (x * y).to_complex()
     want = x.to_complex() * y.to_complex()
     assert abs(got - want) < 1e-9 * (1 + abs(want))
+
+
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def field_values(draw):
+    """Values of mixed conductor with arbitrary, often non-integral, rational
+    coefficients on the power basis."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
+    total = Cyclotomic(0)
+    for j in range(euler_phi(n)):
+        total = total + draw(_COEFF) * root_of_unity(n, j)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(min_value=-5, max_value=12), _COEFF),
+            field_values(),
+            field_values(),
+        ),
+        max_size=5,
+    )
+)
+def test_weighted_dot_matches_naive_sum(terms):
+    naive = Cyclotomic(0)
+    for w, x, y in terms:
+        naive = naive + w * x * y.conj()
+    weights, xs, ys = zip(*terms) if terms else ((), (), ())
+    got = weighted_dot(weights, xs, ys)
+    assert got == naive
+    assert got.conductor == naive.conductor and got.coeffs == naive.coeffs
+
+
+def test_weighted_dot_accepts_rationals():
+    assert weighted_dot([2, 3], [1, Fraction(1, 2)], [root_of_unity(4), 4]) == 6 - 2 * root_of_unity(4)
+    assert weighted_dot([], [], []) == 0

@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mckay_slodowy.cyclotomic import root_of_unity, sqrt_minus1
 from mckay_slodowy.errors import ClosureBoundExceeded, DomainError
 from mckay_slodowy.groups import (
+    FiniteGroup,
     Matrix2,
+    NormalPair,
     Permutation,
     family,
     generate,
@@ -225,3 +229,129 @@ def test_group_json_round_trips():
     A4 = family("alternating4")
     rep0 = A4.to_json()["classes"][1]["rep"]
     assert rep0 == [2, 3, 1, 4]  # (123) in one-line notation
+
+
+# -- index tables, class-size induction and the order bound ------------------
+
+FAMILY_PARAMS = (
+    [("cyclic", n) for n in (2, 3, 5, 8, 12)]
+    + [("binary_dihedral", n) for n in (2, 3, 4, 6)]
+    + [("binary_tetrahedral", None), ("binary_octahedral", None)]
+    + [("symmetric4", None), ("alternating4", None)]
+)
+
+
+def exhaustive_induction_profile(pair):
+    """Oracle: count x in G with x^-1 g x in each N-class, multiplying the
+    elements themselves."""
+    G, N = pair.G, pair.N
+    g_to_n = {gidx: nidx for nidx, gidx in enumerate(pair.embed)}
+    profile = []
+    for rep in G.class_reps:
+        counts = {}
+        g = G.elements[rep]
+        for x in G.elements:
+            n_idx = g_to_n.get(G.index[x.inverse() * g * x])
+            if n_idx is not None:
+                nc = N.class_of[n_idx]
+                counts[nc] = counts.get(nc, 0) + 1
+        profile.append(counts)
+    return profile
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [("A2n-1^2", 3), ("A2n-1^2", 4), ("Dn+1^2", 2), ("Dn+1^2", 3), ("A2n^2", 2),
+     ("A2n^2", 3), ("E6^2", None), ("D4^3", None), ("A2^2", None), ("S4A4", None)],
+)
+def test_induction_profile_matches_exhaustive_count(name, n):
+    pair = normal_pair(name, n)
+    assert pair.induction_profile() == exhaustive_induction_profile(pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_index_tables_match_element_products(data):
+    name, n = data.draw(st.sampled_from(FAMILY_PARAMS))
+    G = family(name, n)
+    idx = st.integers(min_value=0, max_value=G.order - 1)
+    i, j = data.draw(idx), data.draw(idx)
+    assert G.mul(i, j) == G.index[G.elements[i] * G.elements[j]]
+    assert G.inv(i) == G.index[G.elements[i].inverse()]
+    for k, gen in enumerate(G.generators):
+        assert G.conjugate_by_generator(i, k) == G.index[gen.inverse() * G.elements[i] * gen]
+
+
+@pytest.mark.parametrize("name,n", FAMILY_PARAMS)
+def test_element_orders_match_element_powers(name, n):
+    G = family(name, n)
+    for i, e in enumerate(G.elements):
+        k, p = 1, e
+        while p != G.elements[0]:
+            p, k = p * e, k + 1
+        assert G.element_order(i) == k
+
+
+def test_directly_constructed_group_builds_its_tables():
+    S4 = family("symmetric4")
+    # reverse every non-identity element so no table is inherited
+    elements = [S4.elements[0]] + S4.elements[:0:-1]
+    G = FiniteGroup(elements, S4.generators[::-1], name="S_4'")
+    assert G.order == 24
+    assert sorted(G.class_sizes()) == sorted(S4.class_sizes())
+    for i in range(G.order):
+        for j in range(G.order):
+            assert G.mul(i, j) == G.index[elements[i] * elements[j]]
+        assert G.inv(i) == G.index[elements[i].inverse()]
+
+
+def test_directly_constructed_group_rejects_bad_input():
+    A4 = family("alternating4")
+    with pytest.raises(DomainError):  # identity not first
+        FiniteGroup(A4.elements[1:] + A4.elements[:1], A4.generators)
+    with pytest.raises(DomainError):  # generators reach only a subgroup
+        FiniteGroup(A4.elements, [Permutation.from_cycles(4, (1, 2), (3, 4))])
+    with pytest.raises(DomainError):  # not closed
+        FiniteGroup(A4.elements, [Permutation.from_cycles(4, (1, 2))])
+
+
+def test_no_element_products_after_closure(monkeypatch):
+    from mckay_slodowy.characters import induce, table
+    from mckay_slodowy.mckay import fusion_matrices
+
+    cases = [
+        (family("binary_dihedral", 5), family("cyclic", 10), "delta_1"),
+        (family("symmetric4"), family("alternating4"), "rho_2^+"),
+    ]
+    fresh = [generate(family(name, n).generators) for name, n in (("binary_octahedral", None), ("symmetric4", None))]
+    calls = []
+    for cls in (Matrix2, Permutation):
+        original = cls.__mul__
+
+        def counting(self, other, original=original):
+            calls.append(type(self).__name__)
+            return original(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+    for G, N, v in cases:
+        pair = NormalPair(G, N, default_v=v)
+        fusion_matrices(pair)
+        for phi in table(N):
+            induce(pair, phi)
+    for G in fresh:
+        G._compute_classes()
+    assert calls == []
+
+
+def test_family_cache_follows_effective_bound(monkeypatch):
+    monkeypatch.delenv("MSC_MAX_GROUP_ORDER", raising=False)
+    big = family("cyclic", 20)
+    assert big.order == 20
+    assert normal_pair("Dn+1^2", 10).G.order == 40
+    monkeypatch.setenv("MSC_MAX_GROUP_ORDER", "12")
+    with pytest.raises(ClosureBoundExceeded):
+        family("cyclic", 20)
+    with pytest.raises(ClosureBoundExceeded):
+        normal_pair("Dn+1^2", 10)
+    monkeypatch.delenv("MSC_MAX_GROUP_ORDER")
+    assert family("cyclic", 20) is big

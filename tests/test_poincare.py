@@ -8,6 +8,7 @@ from mckay_slodowy.mckay import fusion_matrices
 from mckay_slodowy.poincare import (
     RationalSeries,
     brute_force_multiplicity,
+    brute_force_series,
     corollary_relation_check,
     denominator_identity_check,
     denominator_product,
@@ -276,3 +277,16 @@ def test_stream_properties_nonnegative_and_normalized():
                 assert s.denominator[0] == 1
                 assert s.numerator[0] == (1 if v == 0 else 0)
                 assert all(c >= 0 for c in s.coefficients(20))
+
+
+@pytest.mark.parametrize("name,n", [("A2n-1^2", 4), ("A2n^2", 3), ("E6^2", None), ("S4A4", None)])
+def test_brute_force_series_matches_single_k(name, n):
+    d = fusion_matrices(normal_pair(name, n))
+    for side in ("restriction", "induction"):
+        series = brute_force_series(d, side, 9)
+        assert series == [
+            [brute_force_multiplicity(d, side, vertex, k) for k in range(10)]
+            for vertex in range(d.size)
+        ]
+    with pytest.raises(DomainError, match="tensor power 21 exceeds the bound 20"):
+        brute_force_series(d, "restriction", 25)
