@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -239,28 +240,23 @@ def _table_alternating4(group: FiniteGroup) -> CharacterTable:
     )
 
 
+@cache
 def table(group: FiniteGroup) -> CharacterTable:
     """Exact character table; closed formulas for the named families,
     numeric-with-snapping otherwise."""
-    cached = getattr(group, "_char_table", None)
-    if cached is not None:
-        return cached
     info = group.family_info
     if info is None:
-        result = table_numeric(group)
-    else:
-        kind, n = info
-        builder = {
-            "cyclic": lambda: _table_cyclic(group, n),
-            "binary_dihedral": lambda: _table_binary_dihedral(group, n),
-            "binary_tetrahedral": lambda: _table_tetrahedral(group),
-            "binary_octahedral": lambda: _table_octahedral(group),
-            "symmetric4": lambda: _table_symmetric4(group),
-            "alternating4": lambda: _table_alternating4(group),
-        }[kind]
-        result = builder()
-    group._char_table = result
-    return result
+        return table_numeric(group)
+    kind, n = info
+    builder = {
+        "cyclic": lambda: _table_cyclic(group, n),
+        "binary_dihedral": lambda: _table_binary_dihedral(group, n),
+        "binary_tetrahedral": lambda: _table_tetrahedral(group),
+        "binary_octahedral": lambda: _table_octahedral(group),
+        "symmetric4": lambda: _table_symmetric4(group),
+        "alternating4": lambda: _table_alternating4(group),
+    }[kind]
+    return builder()
 
 
 # -- numeric oracle ---------------------------------------------------------

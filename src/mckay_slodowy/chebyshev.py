@@ -193,21 +193,21 @@ class ClosedFormReport:
     denominator: IntPoly
 
 
-def closed_form_check(pair_family: str, n: int) -> ClosedFormReport:
+def closed_form_check(family_name: str, n: int) -> ClosedFormReport:
     """The invariants series of the dihedral-family pairs equals its binomial
     closed form: numerator c_{n-1}, denominator (1-4t^2) times the alternating
     binomial sum of order n-2 (first family) or n-1 (second family), exactly."""
-    if pair_family == "A2n-1^2":
+    if family_name == "A2n-1^2":
         if n < 3:
             raise DomainError("A2n-1^2 requires n >= 3")
         depth = n - 2
-    elif pair_family == "Dn+1^2":
+    elif family_name == "Dn+1^2":
         if n < 2:
             raise DomainError("Dn+1^2 requires n >= 2")
         depth = n - 1
     else:
         raise DomainError("closed forms are stated for A2n-1^2 and Dn+1^2")
-    pair = normal_pair(pair_family, n)
+    pair = normal_pair(family_name, n)
     data = fusion_matrices(pair)
     series = series_cramer(data, "restriction", 0)
     num = c_family(n - 1)
@@ -215,7 +215,7 @@ def closed_form_check(pair_family: str, n: int) -> ClosedFormReport:
     # equality as rational functions (the closed form need not be reduced)
     if series.numerator * den != num * series.denominator:
         raise CheckFailure(
-            f"{pair_family} n={n}: invariants series {series} does not match "
+            f"{family_name} n={n}: invariants series {series} does not match "
             f"({num.pretty()}) / ({den.pretty()})"
         )
     from .poincare import denominator_identity_check
@@ -223,10 +223,10 @@ def closed_form_check(pair_family: str, n: int) -> ClosedFormReport:
     det_val = denominator_identity_check(pair)
     if det_val != den:
         raise CheckFailure(
-            f"{pair_family} n={n}: det(I - t A^T) = {det_val} differs from the "
+            f"{family_name} n={n}: det(I - t A^T) = {det_val} differs from the "
             f"closed-form denominator {den}"
         )
-    return ClosedFormReport(pair_family, n, series, num, den)
+    return ClosedFormReport(family_name, n, series, num, den)
 
 
 # -- exponents ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from .chebyshev import chebyshev, exponents_catalog
 from .errors import CheckFailure, DomainError
 from .groups import FAMILY_NAMES, PAIR_NAMES, family, normal_pair
 from .mckay import fusion_matrices, graph
-from .poincare import series_cramer, series_recursion
+from .poincare import DEFAULT_BRUTE_FORCE_BOUND, series_cramer, series_recursion
 from .verify import summarize, verify_all, verify_pair
 
 USAGE_EXIT = 64
@@ -48,14 +48,24 @@ def _unicodify(label: str) -> str:
     return out
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_between(low: int, high: int | None = None):
+    """argparse type for an int in low..high (no upper end when high is None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_between(1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,7 +126,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--all", action="store_true")
     v.add_argument("--n-max", type=int, default=8)
-    v.add_argument("--k-max", type=int, default=12)
+    v.add_argument("--k-max", type=_int_between(0, DEFAULT_BRUTE_FORCE_BOUND), default=12)
     v.add_argument("--json", action="store_true")
     return p
 

@@ -290,26 +290,13 @@ class Cyclotomic:
             raise ZeroDivisionError("division by zero cyclotomic value")
         if self.is_rational():
             return Cyclotomic(1 / self.coeffs[0])
+        # the norm x * (product of the other Galois conjugates) is a nonzero rational
         n = self.conductor
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-
-        def strip(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        # extended Euclid over Q[x]; invariant r1 = s1*self (mod Phi_n)
-        r0, r1 = strip(phi), strip(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = _poly_divmod_q(r0, r1)
-            r0, r1 = r1, strip(rem)
-            s0, s1 = s1, strip(_poly_sub(s0, _poly_mul(q, s1)))
-        if not r1 or r1[0] == 0:
-            raise ZeroDivisionError("value is a zero divisor (not possible in a field)")
-        c = r1[0]
-        inv_coeffs = _reduce_mod_phi(n, [x / c for x in s1])
-        return Cyclotomic._raw(n, inv_coeffs)
+        others = Cyclotomic(1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                others = others * self.galois(k)
+        return others * (1 / (self * others).to_rational())
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -428,40 +415,6 @@ class Cyclotomic:
         if self.is_rational():
             return str(self.coeffs[0])
         return self.to_text()
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_divmod_q(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = len(b) - 1
-    if db < 0 or b[-1] == 0:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / b[-1]
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return q, a[:db] if db > 0 else [Fraction(0)]
 
 
 def _integral(c: Fraction) -> int | Fraction:

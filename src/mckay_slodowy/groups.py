@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .cyclotomic import Cyclotomic, root_of_unity, sqrt2, sqrt_minus1
 from .errors import CheckFailure, ClosureBoundExceeded, DomainError
@@ -371,10 +371,12 @@ def family(name: str, n: int | None = None, max_order: int | None = None) -> Fin
     return _family_cached(name, n, _max_order(max_order))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _family_cached(name: str, n: int | None, max_order: int) -> FiniteGroup:
     if name not in FAMILY_NAMES:
         raise DomainError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
+    if n is not None and name not in ("cyclic", "binary_dihedral"):
+        raise DomainError(f"family {name} takes no n")
 
     if name == "cyclic":
         if n is None or n < 2:
@@ -493,7 +495,9 @@ class NormalPair:
         self.n_class_to_g_class = [
             G.class_of[self.embed[rep]] for rep in N.class_reps
         ]
-        self._induction_profile: list[dict[int, int]] | None = None
+        # the PAIR_NAMES key and n of a distinguished pair; None for a generic one
+        self.family: str | None = None
+        self.n: int | None = None
 
     def exhaustive_normality_check(self) -> bool:
         """g n g^-1 in N for every g in G and n in N (exact, element by element)."""
@@ -518,13 +522,11 @@ class NormalPair:
         x -> x^-1 g x maps G onto Cl_G(g) with fibres of size |G| / |Cl_G(g)|,
         so an N-class c inside Cl_G(g) is hit |c| * |G| / |Cl_G(g)| times
         (Isaacs, Character Theory of Finite Groups, ch. 5)."""
-        if self._induction_profile is None:
-            G, N = self.G, self.N
-            profile: list[dict[int, int]] = [{} for _ in G.classes]
-            for nc, gc in enumerate(self.n_class_to_g_class):
-                profile[gc][nc] = len(N.classes[nc]) * G.order // len(G.classes[gc])
-            self._induction_profile = profile
-        return self._induction_profile
+        G, N = self.G, self.N
+        profile: list[dict[int, int]] = [{} for _ in G.classes]
+        for nc, gc in enumerate(self.n_class_to_g_class):
+            profile[gc][nc] = len(N.classes[nc]) * G.order // len(G.classes[gc])
+        return profile
 
     def __repr__(self):
         return f"NormalPair({self.name or (self.N.name + ' < ' + self.G.name)})"
@@ -542,42 +544,45 @@ def normal_pair(name: str, n: int | None = None, max_order: int | None = None) -
     return _normal_pair_cached(name, n, _max_order(max_order))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _normal_pair_cached(name: str, n: int | None, max_order: int) -> NormalPair:
     if name not in PAIR_NAMES:
         raise DomainError(f"unknown pair {name!r}; choose from {PAIR_NAMES}")
     if name in PAIR_N_MIN:
         if n is None or n < PAIR_N_MIN[name]:
             raise DomainError(f"pair {name} requires n >= {PAIR_N_MIN[name]}")
+    elif n is not None:
+        raise DomainError(f"pair {name} takes no n")
     if name == "A2n-1^2":
         G = family("binary_dihedral", 2 * (n - 1), max_order)
         N = family("binary_dihedral", n - 1, max_order)
-        return NormalPair(G, N, name=f"(D_{2*(n-1)}, D_{n-1})", default_v="delta_1")
-    if name == "Dn+1^2":
+        pair = NormalPair(G, N, name=f"(D_{2*(n-1)}, D_{n-1})", default_v="delta_1")
+    elif name == "Dn+1^2":
         G = family("binary_dihedral", n, max_order)
         N = family("cyclic", 2 * n, max_order)
-        return NormalPair(G, N, name=f"(D_{n}, C_{2*n})", default_v="delta_1")
-    if name == "A2n^2":
+        pair = NormalPair(G, N, name=f"(D_{n}, C_{2*n})", default_v="delta_1")
+    elif name == "A2n^2":
         G = family("binary_dihedral", 2 * n, max_order)
         N = family("cyclic", 2 * n, max_order)
-        return NormalPair(G, N, name=f"(D_{2*n}, C_{2*n})", default_v="delta_1")
-    if name == "E6^2":
+        pair = NormalPair(G, N, name=f"(D_{2*n}, C_{2*n})", default_v="delta_1")
+    elif name == "E6^2":
         G = family("binary_octahedral", max_order=max_order)
         N = family("binary_tetrahedral", max_order=max_order)
-        return NormalPair(G, N, name="(O, T)", default_v="omega_1^+")
-    if name == "D4^3":
+        pair = NormalPair(G, N, name="(O, T)", default_v="omega_1^+")
+    elif name == "D4^3":
         G = family("binary_tetrahedral", max_order=max_order)
         N = family("binary_dihedral", 2, max_order)
-        return NormalPair(G, N, name="(T, D_2)", default_v="tau_1")
-    if name == "A2^2":
+        pair = NormalPair(G, N, name="(T, D_2)", default_v="tau_1")
+    elif name == "A2^2":
         G = family("binary_dihedral", 2, max_order)
         N = family("cyclic", 2, max_order)
-        return NormalPair(G, N, name="(D_2, C_2)", default_v="delta_1")
-    if name == "S4A4":
+        pair = NormalPair(G, N, name="(D_2, C_2)", default_v="delta_1")
+    else:  # S4A4
         G = family("symmetric4", max_order=max_order)
         N = family("alternating4", max_order=max_order)
-        return NormalPair(G, N, name="(S_4, A_4)", default_v="rho_2^+")
-    raise DomainError(name)
+        pair = NormalPair(G, N, name="(S_4, A_4)", default_v="rho_2^+")
+    pair.family, pair.n = name, n
+    return pair
 
 
 def pair_from_groups(G: FiniteGroup, N: FiniteGroup, name: str = "") -> NormalPair:

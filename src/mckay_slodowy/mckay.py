@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from . import dynkin
 from .characters import Character, ClassFunction, induce, restrict, table
@@ -63,10 +64,8 @@ class InductionBasis:
         raise DomainError(f"{n_label} does not induce to a basis member")
 
 
+@cache
 def restriction_basis(pair: NormalPair) -> RestrictionBasis:
-    cached = getattr(pair, "_restriction_basis", None)
-    if cached is not None:
-        return cached
     gt = table(pair.G)
     members: list[ClassFunction] = []
     mults: list[tuple[int, ...]] = []
@@ -87,21 +86,17 @@ def restriction_basis(pair: NormalPair) -> RestrictionBasis:
     matrix = [[Fraction(x) for x in row] for row in mults]
     if rank(matrix) != len(members):
         raise CheckFailure("restriction members are linearly dependent")
-    basis = RestrictionBasis(
+    return RestrictionBasis(
         pair,
         tuple(members),
         tuple(mults),
         tuple(tuple(o) for o in origins),
         tuple("check(" + gt.labels[o[0]] + ")" for o in origins),
     )
-    pair._restriction_basis = basis
-    return basis
 
 
+@cache
 def induction_basis(pair: NormalPair) -> InductionBasis:
-    cached = getattr(pair, "_induction_basis", None)
-    if cached is not None:
-        return cached
     nt = table(pair.N)
     rbasis = restriction_basis(pair)
     members: list[ClassFunction] = []
@@ -136,15 +131,13 @@ def induction_basis(pair: NormalPair) -> InductionBasis:
         order.append(targets.pop())
     if sorted(order) != list(range(len(members))):
         raise CheckFailure("induction/restriction correspondence is not a bijection")
-    basis = InductionBasis(
+    return InductionBasis(
         pair,
         tuple(members[i] for i in order),
         tuple(mults[i] for i in order),
         tuple(tuple(origins[i]) for i in order),
         tuple("hat(" + nt.labels[origins[i][0]] + ")" for i in order),
     )
-    pair._induction_basis = basis
-    return basis
 
 
 @dataclass(frozen=True)
@@ -226,11 +219,11 @@ def fusion_matrices(pair: NormalPair, V: Character | None = None) -> FusionData:
         V = default_module(pair)
     if V.group is not pair.G:
         raise DomainError("V must be a character of the pair's big group")
-    cache = getattr(pair, "_fusion_cache", None)
-    if cache is None:
-        cache = pair._fusion_cache = {}
-    if V.label in cache:
-        return cache[V.label]
+    return _fusion_matrices(pair, V)
+
+
+@cache
+def _fusion_matrices(pair: NormalPair, V: Character) -> FusionData:
     rbasis = restriction_basis(pair)
     ibasis = induction_basis(pair)
     nt, gt = table(pair.N), table(pair.G)
@@ -247,9 +240,7 @@ def fusion_matrices(pair: NormalPair, V: Character | None = None) -> FusionData:
         B_cols.append(_solve_in_basis(ibasis.mult_vectors, gt.decompose(product)))
     A = tuple(tuple(A_cols[j][i] for j in range(k)) for i in range(k))
     B = tuple(tuple(B_cols[j][i] for j in range(k)) for i in range(k))
-    data = FusionData(pair, V, A, B, rbasis, ibasis)
-    cache[V.label] = data
-    return data
+    return FusionData(pair, V, A, B, rbasis, ibasis)
 
 
 @dataclass(frozen=True)
@@ -377,9 +368,21 @@ def null_vector_check(data: FusionData) -> NullVectorReport:
     return NullVectorReport(variant, alpha_A, alpha_B, (1, 1), ann)
 
 
+def one_minus_product(values) -> list[int]:
+    """Coefficients of prod over v in values of (1 - v t), lowest degree first
+    (len(values) + 1 of them); each must be a rational integer."""
+    coeffs = [Cyclotomic(1)]
+    for v in values:
+        coeffs = [a - v * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    for c in coeffs:
+        if not c.is_integer():
+            raise CheckFailure(f"coefficient {c} of prod (1 - chi_V(g) t) is not a rational integer")
+    return [c.to_integer() for c in coeffs]
+
+
 def characteristic_identity_check(data: FusionData):
     """char(A) == char(B) == prod over Upsilon(N) of (t - chi_V(g)), exactly."""
-    from .polynomials import char_poly, poly_from_fractions
+    from .polynomials import IntPoly, char_poly
 
     pa = char_poly([list(r) for r in data.A])
     pb = char_poly([list(r) for r in data.B])
@@ -387,22 +390,8 @@ def characteristic_identity_check(data: FusionData):
         raise CheckFailure(
             f"characteristic polynomials differ: {pa} vs {pb}"
         )
-    coeffs = [Cyclotomic(1)]
-    for val in data.v_values_on_upsilon():
-        new = [Cyclotomic(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            new[i + 1] = new[i + 1] + c
-            new[i] = new[i] - c * val
-        coeffs = new
-    rationals = []
-    for c in coeffs:
-        if not c.is_rational():
-            raise CheckFailure(f"non-rational coefficient {c} in the eigenvalue product")
-        rationals.append(c.to_rational())
-    try:
-        prod = poly_from_fractions(rationals)
-    except ArithmeticError as exc:
-        raise CheckFailure(str(exc)) from None
+    # prod (t - v) is prod (1 - v t) with its coefficients reversed
+    prod = IntPoly(one_minus_product(data.v_values_on_upsilon())[::-1])
     if pa != prod:
         raise CheckFailure(
             f"char poly {pa} differs from the eigenvalue product {prod}"

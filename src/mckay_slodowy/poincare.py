@@ -7,6 +7,7 @@ restriction-side and induction-side series.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ from .characters import Character, table
 from .cyclotomic import Cyclotomic, weighted_dot
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
-from .mckay import FusionData, default_module, fusion_matrices
-from .polynomials import IntPoly, det_poly, identity_minus_t, poly_from_fractions, poly_gcd
+from .mckay import FusionData, default_module, fusion_matrices, one_minus_product
+from .polynomials import IntPoly, det_poly, identity_minus_t, poly_gcd
 
 SIDES = ("restriction", "induction")
 
@@ -103,14 +104,20 @@ class MultiplicityVector:
     values: tuple[int, ...]
 
 
-def multiplicity_vector(data: FusionData, side: str, k: int) -> MultiplicityVector:
-    """The k-th recursion vector c_k = (M^T)^k e_0, exact integers."""
-    M = _side_matrix(data, side)
+def _recursion_vectors(M, K: int):
+    """c_0 = e_0, then c_k = M^T c_{k-1} for k = 1..K (exact integers)."""
     size = len(M)
     c = [0] * size
     c[0] = 1
-    for _ in range(k):
+    yield c
+    for _ in range(K):
         c = [sum(M[j][i] * c[j] for j in range(size)) for i in range(size)]
+        yield c
+
+
+def multiplicity_vector(data: FusionData, side: str, k: int) -> MultiplicityVector:
+    """The k-th recursion vector c_k = (M^T)^k e_0, exact integers."""
+    c = deque(_recursion_vectors(_side_matrix(data, side), k), maxlen=1).pop()
     return MultiplicityVector(k, tuple(c))
 
 
@@ -121,13 +128,7 @@ def series_recursion(data: FusionData, side: str, vertex: int, K: int) -> list[i
     k = len(M)
     if not 0 <= vertex < k:
         raise DomainError(f"vertex {vertex} out of range for size {k}")
-    c = [0] * k
-    c[0] = 1
-    out = [c[vertex]]
-    for _ in range(K):
-        c = [sum(M[j][i] * c[j] for j in range(k)) for i in range(k)]
-        out.append(c[vertex])
-    return out
+    return [c[vertex] for c in _recursion_vectors(M, K)]
 
 
 def series_cramer(data: FusionData, side: str, vertex: int) -> RationalSeries:
@@ -153,23 +154,7 @@ def denominator_product(pair: NormalPair, V: Character | None = None) -> IntPoly
     if V is None:
         V = default_module(pair)
     _require_self_dual(V)
-    coeffs = [Cyclotomic(1)]
-    for gc in pair.upsilonN:
-        root = V.values[gc]
-        new = [Cyclotomic(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            new[i] = new[i] + c
-            new[i + 1] = new[i + 1] - c * root
-        coeffs = new
-    rationals = []
-    for c in coeffs:
-        if not c.is_rational():
-            raise CheckFailure(f"non-rational coefficient {c} in denominator product")
-        rationals.append(c.to_rational())
-    try:
-        return poly_from_fractions(rationals)
-    except ArithmeticError as exc:
-        raise CheckFailure(str(exc)) from None
+    return IntPoly(one_minus_product([V.values[gc] for gc in pair.upsilonN]))
 
 
 def _require_self_dual(V: Character) -> None:
@@ -314,12 +299,12 @@ class RelationReport:
     relations: tuple[tuple[int, str, int], ...]  # (vertex, length class, factor)
 
 
-def corollary_relation_check(pair: NormalPair, pair_family: str | None = None) -> RelationReport:
+def corollary_relation_check(pair: NormalPair) -> RelationReport:
     """Exact relations between m_check^i and m_hat^i under the index
     correspondence: equal on long roots, scaled by |G:N| on short roots; for
     the (D_2, C_2) and (D_2n, C_2n) pairs the invariants agree and every other
     vertex satisfies m_check^i = 2 m_hat^i."""
-    name = pair_family or _family_of(pair)
+    name = pair.family
     data = fusion_matrices(pair)
     k = data.size
     res = [series_cramer(data, "restriction", i) for i in range(k)]
@@ -356,25 +341,3 @@ def corollary_relation_check(pair: NormalPair, pair_family: str | None = None) -
         f"index-correspondence relations are only stated for "
         f"{MAIN_RELATION_PAIRS + SPECIAL_RELATION_PAIRS}"
     )
-
-
-def _family_of(pair: NormalPair) -> str:
-    gi = pair.G.family_info or (None, None)
-    ni = pair.N.family_info or (None, None)
-    if gi[0] == "binary_dihedral" and ni[0] == "binary_dihedral":
-        return "A2n-1^2"
-    if gi[0] == "binary_octahedral":
-        return "E6^2"
-    if gi[0] == "binary_tetrahedral" and ni[0] == "binary_dihedral":
-        return "D4^3"
-    if gi[0] == "binary_dihedral" and ni[0] == "cyclic":
-        if gi[1] == 2 and ni[1] == 2:
-            return "A2^2"
-        if ni[1] == 2 * gi[1]:
-            return "Dn+1^2"
-        if ni[1] == gi[1]:
-            return "A2n^2"
-        return "unknown"
-    if gi[0] == "symmetric4":
-        return "S4A4"
-    return "unknown"

@@ -2,7 +2,6 @@
 machinery needed for Cramer closed forms of generating series."""
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 
 
@@ -307,12 +306,3 @@ def char_poly(mat: list[list[int]]) -> IntPoly:
     ]
     return det_poly(entries)
 
-
-def poly_from_fractions(coeffs: list[Fraction]) -> IntPoly:
-    """Convert exact rational coefficients that must be integers; raises otherwise."""
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError(f"non-integral coefficient {c}")
-        out.append(c.numerator)
-    return IntPoly(out)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import induce, restrict, table, table_numeric, verify_table
+from .characters import frobenius_check, induce, restrict, table, table_numeric, verify_table
 from .chebyshev import closed_form_check, spectrum_exponents_check
 from .errors import CheckFailure, DomainError
 from .groups import PAIR_N_MIN, PAIR_NAMES, NormalPair, normal_pair
@@ -20,6 +20,7 @@ from .mckay import (
     null_vector_check,
 )
 from .poincare import (
+    DEFAULT_BRUTE_FORCE_BOUND,
     MAIN_RELATION_PAIRS,
     SPECIAL_RELATION_PAIRS,
     brute_force_series,
@@ -363,6 +364,7 @@ def _wrap(name: str, fn) -> CheckResult:
 
 def verify_pair(family_name: str, n: int | None = None, k_max: int = 12) -> list[CheckResult]:
     """Run the full battery of checks on one pair."""
+    _check_k_max(k_max)
     if family_name not in PAIR_NAMES:
         raise DomainError(f"unknown pair {family_name!r}; choose from {PAIR_NAMES}")
     if family_name in PAIR_N_MIN and n is None:
@@ -380,7 +382,7 @@ def verify_pair(family_name: str, n: int | None = None, k_max: int = 12) -> list
             pair.exhaustive_normality_check(),
         )
     )
-    results.append(_wrap(f"{px} Frobenius reciprocity", lambda: frobenius_check_count(pair)))
+    results.append(_wrap(f"{px} Frobenius reciprocity", lambda: frobenius_check(pair)))
     results.append(
         CheckResult(
             f"{px} basis sizes equal |Upsilon(N)| = {len(pair.upsilonN)}",
@@ -417,14 +419,12 @@ def verify_pair(family_name: str, n: int | None = None, k_max: int = 12) -> list
     results.append(_wrap(f"{px} invariants series equality", lambda: invariants_series_check(pair)))
     if family_name in MAIN_RELATION_PAIRS + SPECIAL_RELATION_PAIRS:
         results.append(
-            _wrap(f"{px} index-correspondence relations", lambda: corollary_relation_check(pair, family_name))
+            _wrap(f"{px} index-correspondence relations", lambda: corollary_relation_check(pair))
         )
     if family_name != "S4A4":
         results.append(_wrap(f"{px} spectrum exponents", lambda: spectrum_exponents_check(data)))
-    if family_name == "A2n-1^2":
-        results.append(_wrap(f"{px} closed-form invariants", lambda: closed_form_check("A2n-1^2", n)))
-    if family_name == "Dn+1^2":
-        results.append(_wrap(f"{px} closed-form invariants", lambda: closed_form_check("Dn+1^2", n)))
+    if family_name in ("A2n-1^2", "Dn+1^2"):
+        results.append(_wrap(f"{px} closed-form invariants", lambda: closed_form_check(family_name, n)))
     for grp in (pair.G, pair.N):
         if grp.order <= 48:
             results.append(
@@ -436,10 +436,9 @@ def verify_pair(family_name: str, n: int | None = None, k_max: int = 12) -> list
     return results
 
 
-def frobenius_check_count(pair: NormalPair) -> int:
-    from .characters import frobenius_check
-
-    return len(frobenius_check(pair))
+def _check_k_max(k_max: int) -> None:
+    if not 0 <= k_max <= DEFAULT_BRUTE_FORCE_BOUND:
+        raise DomainError(f"k_max must be in 0..{DEFAULT_BRUTE_FORCE_BOUND}, got {k_max}")
 
 
 def triple_equivalence_check(data, k_max: int) -> None:
@@ -477,6 +476,7 @@ def default_pair_arguments(n_max: int = 8) -> list[tuple[str, int | None]]:
 
 def verify_all(n_max: int = 8, k_max: int = 12) -> list[CheckResult]:
     """Every fixture and invariant for the default parameter ranges."""
+    _check_k_max(k_max)
     from .chebyshev import chebyshev_identities_check, exponent_duality_holds, exponents_catalog
 
     results: list[CheckResult] = []

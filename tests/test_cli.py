@@ -191,3 +191,52 @@ def test_pair_and_poincare_usage_errors(capsys, argv):
         run(argv)
     assert exc.value.code == 64
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pair", "E6^2", "--n", "5"],
+        ["poincare", "--pair", "D4^3", "--n", "2"],
+        ["group", "binary_tetrahedral", "--n", "5"],
+        ["chartable", "symmetric4", "--n", "2"],
+        ["verify", "--pair", "S4A4", "--n", "3"],
+    ],
+)
+def test_n_for_a_name_without_n_is_a_domain_error(capsys, argv):
+    code, out, err = _capture(capsys, argv)
+    assert code == 1
+    assert "takes no n" in err and not out
+
+
+@pytest.mark.parametrize("k_max", ["25", "21", "-1", "x"])
+def test_verify_k_max_out_of_range_is_a_usage_error(capsys, k_max):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--pair", "S4A4", "--k-max", k_max])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "FAIL" not in captured.out
+
+
+@pytest.mark.parametrize("k_max", ["0", "20"])
+def test_verify_k_max_bounds_are_accepted(capsys, k_max):
+    code, out, _ = _capture(capsys, ["verify", "--pair", "A2^2", "--k-max", k_max])
+    assert code == 0
+    assert f"(k <= {k_max})" in out
+
+
+@pytest.mark.parametrize("call", ["verify_pair", "verify_all"])
+@pytest.mark.parametrize("k_max", [-1, 21])
+def test_verify_rejects_k_max_before_any_check(monkeypatch, call, k_max):
+    from mckay_slodowy import verify
+    from mckay_slodowy.errors import DomainError
+
+    def no_pair(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "normal_pair", no_pair)
+    with pytest.raises(DomainError, match="k_max"):
+        if call == "verify_pair":
+            verify.verify_pair("S4A4", k_max=k_max)
+        else:
+            verify.verify_all(n_max=2, k_max=k_max)

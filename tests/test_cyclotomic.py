@@ -119,6 +119,30 @@ def cyclotomics(draw):
     return c * root_of_unity(n, k) + Cyclotomic(d)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([3, 4, 5, 7, 8, 9, 12, 15]),
+            st.integers(min_value=0, max_value=14),
+            st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_inverse_mixed_conductors(terms):
+    x = sum((c * root_of_unity(n, k % n) for n, k, c in terms), Cyclotomic(0))
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    inv = x.inverse()
+    assert x * inv == 1
+    assert inv.inverse() == x
+    assert abs(x.to_complex() * inv.to_complex() - 1) < 1e-9
+
+
 @settings(max_examples=60, deadline=None)
 @given(cyclotomics(), cyclotomics(), cyclotomics())
 def test_field_axioms(x, y, z):

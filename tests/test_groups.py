@@ -355,3 +355,25 @@ def test_family_cache_follows_effective_bound(monkeypatch):
         normal_pair("Dn+1^2", 10)
     monkeypatch.delenv("MSC_MAX_GROUP_ORDER")
     assert family("cyclic", 20) is big
+
+
+def test_normal_pair_carries_its_family_key():
+    for name, n in [("A2n-1^2", 3), ("Dn+1^2", 2), ("A2n^2", 2), ("E6^2", None), ("S4A4", None)]:
+        p = normal_pair(name, n)
+        assert (p.family, p.n) == (name, n)
+    generic = pair_from_groups(family("binary_dihedral", 2), family("cyclic", 2))
+    assert (generic.family, generic.n) == (None, None)
+
+
+@pytest.mark.parametrize("name", ["E6^2", "D4^3", "A2^2", "S4A4"])
+def test_pair_without_n_rejects_one(name):
+    with pytest.raises(DomainError, match="takes no n"):
+        normal_pair(name, 5)
+
+
+@pytest.mark.parametrize(
+    "name", ["binary_tetrahedral", "binary_octahedral", "symmetric4", "alternating4"]
+)
+def test_family_without_n_rejects_one(name):
+    with pytest.raises(DomainError, match="takes no n"):
+        family(name, 5)

@@ -190,3 +190,34 @@ def test_graph_edges_and_dot():
 
     g2 = graph(fusion_matrices(normal_pair("D4^3")), "induction")
     assert any(e.multiplicity == 3 for e in g2.edges)
+
+
+def test_fusion_cache_keys_on_the_module_not_its_label():
+    from mckay_slodowy.characters import Character, table
+
+    p = normal_pair("A2n^2", 3)
+    gt = table(p.G)
+    v1 = Character(gt["delta_1"].base, "V")
+    v2 = Character(gt["delta_2"].base, "V")
+    d1, d2 = fusion_matrices(p, v1), fusion_matrices(p, v2)
+    assert d1 is not d2 and d1.A != d2.A
+    assert d1.V.values == v1.values
+    assert d2.V.values == v2.values
+    assert fusion_matrices(p) is fusion_matrices(p, gt["delta_1"])
+
+
+def test_one_minus_product():
+    from fractions import Fraction
+
+    from mckay_slodowy.cyclotomic import Cyclotomic, root_of_unity
+    from mckay_slodowy.mckay import one_minus_product
+
+    assert one_minus_product([]) == [1]
+    assert one_minus_product([Cyclotomic(1), Cyclotomic(-1)]) == [1, 0, -1]
+    assert one_minus_product([Cyclotomic(0), Cyclotomic(2)]) == [1, -2, 0]
+    w = root_of_unity(3)
+    assert one_minus_product([w, w.conj()]) == [1, 1, 1]
+    with pytest.raises(CheckFailure):
+        one_minus_product([w])
+    with pytest.raises(CheckFailure):
+        one_minus_product([Cyclotomic(Fraction(1, 2))])

@@ -290,3 +290,14 @@ def test_brute_force_series_matches_single_k(name, n):
         ]
     with pytest.raises(DomainError, match="tensor power 21 exceeds the bound 20"):
         brute_force_series(d, "restriction", 25)
+
+
+def test_generic_pair_has_no_index_correspondence_relations():
+    from mckay_slodowy.groups import family, pair_from_groups
+
+    # the groups of A2^2, but built as a generic pair: no family key to go by
+    p = pair_from_groups(family("binary_dihedral", 2), family("cyclic", 2))
+    p.default_v_label = "delta_1"
+    assert p.family is None
+    with pytest.raises(DomainError, match="only stated for"):
+        corollary_relation_check(p)
