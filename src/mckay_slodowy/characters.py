@@ -1,20 +1,20 @@
 """Exact character tables, induction/restriction between a normal pair, and a
-numeric Burnside-type table computation used as an independent oracle.
+Dixon-Schneider table computation over a prime field used as an independent
+oracle.
 
 The named families get their tables from closed formulas (cyclotomic values,
 one row per irreducible, in the classical layout); anything else falls back
-to the numeric computation with exact snapping.
+to the Dixon-Schneider computation, which is exact as well.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import isqrt
+from operator import mul
 
-import numpy as np
-
-from .cyclotomic import Cyclotomic, root_of_unity, sqrt2, weighted_dot
+from .cyclotomic import Cyclotomic, prime_factors, root_of_unity, root_sum, sqrt2, weighted_dot
 from .errors import CheckFailure, DomainError
 from .groups import FiniteGroup, NormalPair
 
@@ -243,7 +243,7 @@ def _table_alternating4(group: FiniteGroup) -> CharacterTable:
 @cache
 def table(group: FiniteGroup) -> CharacterTable:
     """Exact character table; closed formulas for the named families,
-    numeric-with-snapping otherwise."""
+    Dixon-Schneider otherwise."""
     info = group.family_info
     if info is None:
         return table_numeric(group)
@@ -259,92 +259,113 @@ def table(group: FiniteGroup) -> CharacterTable:
     return builder()
 
 
-# -- numeric oracle ---------------------------------------------------------
+# -- Dixon-Schneider oracle ------------------------------------------------
 
 
-def _structure_matrices(group: FiniteGroup) -> list[np.ndarray]:
-    """M_i[j, l] = coefficient of class-sum l in (class-sum i)*(class-sum j).
-
-    The central-character vectors (|C_j| chi(g_j) / chi(1))_j are the common
-    eigenvectors of these matrices.
-    """
-    k = len(group.classes)
-    mats = []
-    for i in range(k):
-        M = np.zeros((k, k))
-        for j in range(k):
-            counts = [0] * k
-            for x in group.classes[i]:
-                for y in group.classes[j]:
-                    counts[group.class_of[group.mul(x, y)]] += 1
-            for l in range(k):
-                M[j, l] = counts[l] / len(group.classes[l])
-        mats.append(M)
-    return mats
-
-
-def _snap_to_roots(value: complex, degree: int, order: int, tol: float = 1e-6) -> Cyclotomic:
-    """Match a numeric value against exact sums of `degree` roots of unity of
-    the given order.  Failure raises; ambiguity raises."""
-    if degree == 0:
-        return Cyclotomic(0)
-    from math import comb
-
-    if comb(order + degree - 1, degree) > 200000:
-        raise CheckFailure(
-            f"snapping search too large (order {order}, degree {degree})"
-        )
-    roots = [root_of_unity(order, k) for k in range(order)]
-    numeric = [r.to_complex() for r in roots]
-    matches: dict[Cyclotomic, None] = {}
-    for combo in itertools.combinations_with_replacement(range(order), degree):
-        approx = sum(numeric[k] for k in combo)
-        if abs(approx - value) < tol:
-            exact = Cyclotomic(0)
-            for k in combo:
-                exact = exact + roots[k]
-            matches[exact] = None
-    if not matches:
-        raise CheckFailure(f"no exact root-of-unity sum matches {value}")
-    if len(matches) > 1:
-        raise CheckFailure(
-            f"ambiguous snapping for {value}: {[str(m) for m in matches]}"
-        )
-    return next(iter(matches))
+def _krylov(M: list[list[int]], v: list[int], p: int) -> tuple[list[list[int]], list[int]]:
+    """The vectors v, Mv, M^2 v, ... over F_p up to the first linear
+    dependence, and the monic minimal polynomial of v (lowest degree first)."""
+    krylov: list[list[int]] = []
+    echelon = []  # (pivot, reduced vector, its coefficients on the Krylov vectors)
+    while True:
+        r, c = v, [0] * len(krylov) + [1]
+        for piv, row, rc in echelon:
+            f = r[piv]
+            if f:
+                r = [(a - f * b) % p for a, b in zip(r, row)]
+                c = [(a - f * b) % p for a, b in zip(c, rc)] + c[len(rc):]
+        piv = next((i for i, x in enumerate(r) if x), None)
+        if piv is None:
+            return krylov, c
+        inv = pow(r[piv], -1, p)
+        echelon.append((piv, [x * inv % p for x in r], [x * inv % p for x in c]))
+        krylov.append(v)
+        v = [sum(map(mul, row, v)) % p for row in M]
 
 
-def table_numeric(group: FiniteGroup, seed: int = 7, attempts: int = 12) -> CharacterTable:
-    """Character table from simultaneous diagonalization of class-sum matrices
-    in double precision, snapped back to exact cyclotomic values and re-verified."""
-    k = len(group.classes)
-    sizes = group.class_sizes()
-    mats = _structure_matrices(group)
-    rng = np.random.default_rng(seed)
-    vecs = None
-    for _ in range(attempts):
-        weights = rng.standard_normal(k)
-        T = sum(w * M for w, M in zip(weights, mats))
-        eigvals, eigvecs = np.linalg.eig(T)
-        if len(set(np.round(eigvals, 6))) == k:
-            vecs = eigvecs
+def _value(poly: list[int], x: int, p: int) -> int:
+    """poly(x) over F_p, coefficients lowest degree first."""
+    acc = 0
+    for a in reversed(poly):
+        acc = (acc * x + a) % p
+    return acc
+
+
+def table_numeric(group: FiniteGroup) -> CharacterTable:
+    """Character table by the Dixon-Schneider algorithm, exactly, from the
+    group multiplication alone (Dixon, Numer. Math. 10 (1967) 446-450;
+    Schneider, J. Symbolic Comput. 9 (1990) 601-606), then re-verified.
+
+    The central characters w_l = |C_l| chi(g_l) / chi(1) are the common
+    eigenvectors of the class matrices M_i[j][l] = #{x in C_i : x^-1 z_l in C_j}
+    (z_l the class representatives).  They are found over F_p, p = 1 mod e the
+    exponent and p^2 > 4|G|, where a primitive e-th root of unity z stands for
+    zeta_e; every chi(g) = sum_j m_j zeta_o^j (o the order of g) is read off
+    its multiplicities 0 <= m_j <= chi(1) < p/2."""
+    k, order, e = len(group.classes), group.order, group.exponent()
+    cls, sizes = group.class_of, group.class_sizes()
+    coeff = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for l, rep in enumerate(group.class_reps):
+        for x in range(order):
+            coeff[cls[x]][cls[group.mul(group.inv(x), rep)]][l] += 1
+    p = e + 1
+    while p * p <= 4 * order or prime_factors(p) != (p,):
+        p += e
+    z = next(
+        z for z in (pow(a, (p - 1) // e, p) for a in range(2, p))
+        if all(pow(z, e // q, p) != 1 for q in prime_factors(e))
+    )
+    # Each common eigenspace is kept as a cyclic vector.  The unit vector of the
+    # identity class is sum over chi of (chi(1)^2 / |G|) w_chi, so it meets
+    # every w_chi, and so do its projections onto the eigenspaces of each M
+    # (Lagrange interpolation in M on its Krylov vectors).
+    spaces = [[int(l == 0) for l in range(k)]]
+    for M in coeff[1:]:
+        if len(spaces) == k:
             break
-    if vecs is None:
-        raise CheckFailure("could not separate eigenvalues of class-sum matrices")
+        split = []
+        for v in spaces:
+            krylov, mu = _krylov(M, v, p)
+            roots = [x for x in range(p) if not _value(mu, x, p)] if len(mu) > 2 else [-mu[0] % p]
+            for lam in roots:
+                q = [mu[-1]]  # mu / (x - lam), highest degree first
+                for a in reversed(mu[1:-1]):
+                    q.append((a + lam * q[-1]) % p)
+                q.reverse()
+                scale = pow(_value(q, lam, p), -1, p)
+                split.append([sum(map(mul, q, col)) * scale % p for col in zip(*krylov)])
+        spaces = split
+    if len(spaces) != k:
+        raise CheckFailure(f"the class matrices of {group.name or 'the group'} do not separate its characters")
+    zpow = [pow(z, -s, p) for s in range(e)]
+    star = [cls[group.inv(rep)] for rep in group.class_reps]
+    inv_sizes = [pow(size, -1, p) for size in sizes]
+    powers, dft = [], {}
+    for rep in group.class_reps:
+        o, cur, pc = group.element_order(rep), 0, []
+        for _ in range(o):
+            pc.append(cls[cur])
+            cur = group.mul(cur, rep)
+        powers.append(pc)
+        if o not in dft:
+            dft[o] = [[zpow[(e // o) * j * t % e] for t in range(o)] for j in range(o)]
     rows = []
-    for col in range(k):
-        v = vecs[:, col]
-        v = v / v[0]  # identity class entry is 1
-        # row orthogonality fixes the degree
-        s = sum(abs(v[i]) ** 2 / sizes[i] for i in range(k))
-        deg_f = float(np.sqrt(group.order / s.real))
-        degree = round(deg_f)
-        if abs(deg_f - degree) > 1e-6 or degree < 1:
-            raise CheckFailure(f"non-integral character degree {deg_f}")
+    for u in spaces:
+        w = [x * pow(u[0], -1, p) % p for x in u]
+        norm = sum(w[l] * w[star[l]] * inv_sizes[l] for l in range(k)) % p
+        target = order * pow(norm, -1, p) % p
+        degree = next((d for d in range(1, isqrt(order) + 1) if d * d % p == target), None)
+        if degree is None:
+            raise CheckFailure(f"no character degree d with d^2 = {target} mod {p}")
+        chi = [degree * w[l] * inv_sizes[l] % p for l in range(k)]
         values = []
-        for i in range(k):
-            target = complex(v[i]) * degree / sizes[i]
-            order = group.element_order(group.class_reps[i])
-            values.append(_snap_to_roots(target, degree, order))
+        for pc in powers:
+            o = len(pc)
+            xs = [chi[c] for c in pc]
+            mults = [sum(map(mul, xs, row)) * pow(o, -1, p) % p for row in dft[o]]
+            if max(mults) > degree:
+                raise CheckFailure(f"eigenvalue multiplicities {mults} exceed the degree {degree} mod {p}")
+            values.append(root_sum(o, mults))
         rows.append(values)
     rows.sort(key=lambda vals: (vals[0].to_integer(), [v.to_text() for v in vals]))
     chars = [

@@ -11,12 +11,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import dynkin
+from .cyclotomic import root_of_unity
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair, normal_pair
-from .mckay import FusionData, fusion_matrices, graph
+from .mckay import FusionData, fusion_matrices, graph, one_minus_product
 from .poincare import RationalSeries, series_cramer
 from .polynomials import IntPoly, char_poly
 
@@ -364,30 +363,19 @@ class SpectrumReport:
     finite_cos_matches: bool
 
 
-def _real_roots(p: IntPoly) -> list[float]:
-    coeffs = list(reversed(p.coeffs))
-    roots = np.roots(coeffs)
-    out = []
-    for r in roots:
-        if abs(r.imag) > 1e-8:
-            raise CheckFailure(f"unexpected complex eigenvalue {r}")
-        out.append(float(r.real))
-    return sorted(out)
+def _cos_poly(exponents, coxeter: int) -> IntPoly:
+    """prod over m of (t - 2 cos(m pi / h)), each root as zeta_2h^m + zeta_2h^-m."""
+    roots = [root_of_unity(2 * coxeter, m) + root_of_unity(2 * coxeter, -m) for m in exponents]
+    return IntPoly(one_minus_product(roots)[::-1])
 
 
-def _multisets_close(a, b, tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(sorted(a), sorted(b)))
-
-
-def spectrum_exponents_check(
-    pair_or_data: NormalPair | FusionData, tol: float = 1e-9
-) -> SpectrumReport:
-    """Eigenvalues of the restriction fusion matrix equal {chi_V(g)} over
-    Upsilon(N) (always asserted), and equal {2 cos(m pi / h)} from the exponent
-    table for the rows with unambiguous convention; the finite sub-diagram
-    (trivial node deleted) is checked against the finite exponents."""
+def spectrum_exponents_check(pair_or_data: NormalPair | FusionData) -> SpectrumReport:
+    """The characteristic polynomial of the restriction fusion matrix equals
+    prod (t - chi_V(g)) over Upsilon(N) (always asserted), and equals
+    prod (t - 2 cos(m pi / h)) from the exponent table for the rows with
+    unambiguous convention; that of the finite sub-diagram (trivial node
+    deleted) equals the product over the finite exponents.  All exactly; the
+    float fields of the report are read off the exact values."""
     data = pair_or_data if isinstance(pair_or_data, FusionData) else fusion_matrices(pair_or_data)
     pair = data.pair
     affine_type = graph(data, "restriction").dynkin_type
@@ -395,45 +383,44 @@ def spectrum_exponents_check(
         raise DomainError(f"{pair.name} does not realize an affine diagram")
     cat = exponents_catalog(affine_type)
 
-    A = [list(r) for r in data.A]
-    eig = _real_roots(char_poly(A))
-    chi_v = sorted(v.to_complex().real for v in data.v_values_on_upsilon())
-    if not _multisets_close(eig, chi_v, tol):
-        raise CheckFailure(
-            f"{pair.name}: eigenvalues {eig} do not match chi_V values {chi_v}"
-        )
+    values = data.v_values_on_upsilon()
+    if any(v != v.conj() for v in values):
+        raise CheckFailure(f"{pair.name}: chi_V takes a non-real value on Upsilon(N)")
+    poly = char_poly([list(r) for r in data.A])
+    if poly != IntPoly(one_minus_product(values)[::-1]):
+        raise CheckFailure(f"{pair.name}: char poly {poly} differs from prod (t - chi_V(g))")
+    chi_v = sorted(v.to_complex().real for v in values)
     cos_vals = sorted(cat.cos_values())
     cos_asserted = _row_key(affine_type) in ASSERTED_COS_ROWS
-    cos_matches = _multisets_close(eig, cos_vals, tol)
+    cos_matches = poly == _cos_poly(cat.exponents, cat.coxeter)
     if cos_asserted and not cos_matches:
         raise CheckFailure(
-            f"{pair.name}: eigenvalues {eig} do not match 2cos values {cos_vals} "
+            f"{pair.name}: eigenvalues {chi_v} do not match 2cos values {cos_vals} "
             f"for {affine_type}"
         )
 
     # finite part: delete the trivial-origin node (index 0)
     k = data.size
     finite_A = [[data.A[i][j] for j in range(1, k)] for i in range(1, k)]
-    finite_eig = _real_roots(char_poly(finite_A))
     finite_cos = sorted(
         2 * math.cos(m * math.pi / cat.finite_coxeter) for m in cat.finite_exponents
     )
-    finite_matches = _multisets_close(finite_eig, finite_cos, tol)
-    if cos_asserted and not finite_matches:
+    finite_matches = char_poly(finite_A) == _cos_poly(cat.finite_exponents, cat.finite_coxeter)
+    if not finite_matches:
         raise CheckFailure(
-            f"{pair.name}: finite eigenvalues {finite_eig} do not match "
-            f"2cos values {finite_cos} for {cat.finite_type}"
+            f"{pair.name}: finite eigenvalues do not match 2cos values {finite_cos} "
+            f"for {cat.finite_type}"
         )
     return SpectrumReport(
         pair.name,
         affine_type,
         cat.finite_type,
-        tuple(eig),
+        tuple(chi_v),
         tuple(chi_v),
         tuple(cos_vals),
         cos_asserted,
         cos_matches,
-        tuple(finite_eig),
+        tuple(finite_cos),
         tuple(finite_cos),
         finite_matches,
     )

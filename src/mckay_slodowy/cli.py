@@ -2,12 +2,14 @@
 Poincare series, Chebyshev data, exponents, and the verification suite.
 
 Exit codes: 0 success, 1 domain error (bad names/ranges), 2 verification
-failure, 64 usage error.
+failure, 64 usage error.  A reader that closes standard output early (as in
+`| head`) ends the run quietly with 0: the rest of the output is discarded.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .characters import table, table_numeric
@@ -125,7 +127,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--pair", choices=PAIR_NAMES, default=None)
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--all", action="store_true")
-    v.add_argument("--n-max", type=int, default=8)
+    v.add_argument("--n-max", type=_int_between(2), default=8)
     v.add_argument("--k-max", type=_int_between(0, DEFAULT_BRUTE_FORCE_BOUND), default=12)
     v.add_argument("--json", action="store_true")
     return p
@@ -349,7 +351,15 @@ def _report_error(kind: str, exc: Exception, use_json: bool) -> None:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at exit
+        # cannot fail again (the recipe in the Python signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

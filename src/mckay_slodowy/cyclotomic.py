@@ -464,6 +464,11 @@ def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
     return Cyclotomic._raw(n, _reduce_mod_phi(n, vec))
 
 
+def root_sum(n: int, counts) -> Cyclotomic:
+    """sum_j counts[j] * zeta_n^j for rational counts, canonicalised once."""
+    return Cyclotomic._raw(n, _reduce_mod_phi(n, [Fraction(c) for c in counts]))
+
+
 def zeta(n: int, k: int = 1) -> Cyclotomic:
     return root_of_unity(n, k)
 

@@ -8,8 +8,6 @@ to i.  The Cartan matrix is 2I - A.
 """
 from __future__ import annotations
 
-import networkx as nx
-
 from .errors import DomainError
 
 
@@ -170,23 +168,42 @@ def catalog_for_size(size: int) -> list[tuple[str, list[list[int]]]]:
     return out
 
 
-def _digraph(A: list[list[int]]) -> nx.DiGraph:
-    g = nx.DiGraph()
-    k = len(A)
-    g.add_nodes_from(range(k))
-    for i in range(k):
-        for j in range(k):
-            if A[i][j]:
-                g.add_edge(j, i, w=A[i][j])
-    return g
-
-
 def _isomorphic(A: list[list[int]], B: list[list[int]]) -> bool:
-    if len(A) != len(B):
+    """Whether B is A up to simultaneous row/column permutation: backtracking
+    over the nodes of A in breadth-first order from node 0, candidates pruned
+    by their (sorted row, sorted column) signature and by the entries to the
+    nodes already matched."""
+    k = len(A)
+    if len(B) != k:
         return False
-    return nx.is_isomorphic(
-        _digraph(A), _digraph(B), edge_match=lambda e1, e2: e1["w"] == e2["w"]
-    )
+
+    def signatures(M):
+        return [(sorted(M[i]), sorted(M[j][i] for j in range(k))) for i in range(k)]
+
+    sig_a, sig_b = signatures(A), signatures(B)
+    if sorted(sig_a) != sorted(sig_b):
+        return False
+    order = [0]
+    for i in order:
+        order += [j for j in range(k) if (A[i][j] or A[j][i]) and j not in order]
+    order += [j for j in range(k) if j not in order]
+    image: dict[int, int] = {}
+
+    def extend(depth: int) -> bool:
+        if depth == k:
+            return True
+        i = order[depth]
+        for j in range(k):
+            if j in image.values() or sig_b[j] != sig_a[i]:
+                continue
+            if all(A[i][a] == B[j][b] and A[a][i] == B[b][j] for a, b in image.items()):
+                image[i] = j
+                if extend(depth + 1):
+                    return True
+                del image[i]
+        return False
+
+    return extend(0)
 
 
 def identify(A: list[list[int]]) -> str:

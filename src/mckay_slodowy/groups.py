@@ -351,6 +351,16 @@ FAMILY_NAMES = (
     "alternating4",
 )
 
+# closed-form orders, checked against the bound before any closure starts
+_FAMILY_ORDERS = {
+    "cyclic": lambda n: n,
+    "binary_dihedral": lambda n: 4 * n,
+    "binary_tetrahedral": lambda n: 24,
+    "binary_octahedral": lambda n: 48,
+    "symmetric4": lambda n: 24,
+    "alternating4": lambda n: 12,
+}
+
 
 def _tetra_generators() -> tuple[Matrix2, Matrix2, Matrix2]:
     i = sqrt_minus1()
@@ -375,12 +385,18 @@ def family(name: str, n: int | None = None, max_order: int | None = None) -> Fin
 def _family_cached(name: str, n: int | None, max_order: int) -> FiniteGroup:
     if name not in FAMILY_NAMES:
         raise DomainError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
-    if n is not None and name not in ("cyclic", "binary_dihedral"):
+    if name in ("cyclic", "binary_dihedral"):
+        if n is None or n < 2:
+            raise DomainError(f"{name} requires n >= 2")
+    elif n is not None:
         raise DomainError(f"family {name} takes no n")
+    order = _FAMILY_ORDERS[name](n)
+    if order > max_order:
+        raise ClosureBoundExceeded(
+            f"{name} has order {order}, above the bound of {max_order} elements"
+        )
 
     if name == "cyclic":
-        if n is None or n < 2:
-            raise DomainError("cyclic requires n >= 2")
         z = Matrix2.diagonal(root_of_unity(n, -1), root_of_unity(n, 1))
         G = generate([z], max_order, name=f"C_{n}")
         zi = G.index[z]
@@ -394,8 +410,6 @@ def _family_cached(name: str, n: int | None, max_order: int) -> FiniteGroup:
         return G
 
     if name == "binary_dihedral":
-        if n is None or n < 2:
-            raise DomainError("binary_dihedral requires n >= 2")
         x = Matrix2.diagonal(root_of_unity(2 * n, -1), root_of_unity(2 * n, 1))
         y = Matrix2(0, sqrt_minus1(), sqrt_minus1(), 0)
         G = generate([x, y], max_order, name=f"D_{n}")

@@ -8,10 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from . import dynkin
 from .characters import Character, ClassFunction, induce, restrict, table
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, root_sum
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
 from .linalg import nullspace, rank, solve_exact
@@ -370,10 +371,23 @@ def null_vector_check(data: FusionData) -> NullVectorReport:
 
 def one_minus_product(values) -> list[int]:
     """Coefficients of prod over v in values of (1 - v t), lowest degree first
-    (len(values) + 1 of them); each must be a rational integer."""
-    coeffs = [Cyclotomic(1)]
+    (len(values) + 1 of them); each must be a rational integer.
+
+    Expanded in Q[x]/(x^m - 1), m the lcm of the conductors, where zeta_n^j
+    is x^(j*m/n); each coefficient becomes a cyclotomic number once, at the end."""
+    m = lcm(1, *(v.conductor for v in values))
+    rows = [[1] + [0] * (m - 1)]
     for v in values:
-        coeffs = [a - v * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        step = m // v.conductor
+        terms = [(j * step, c.numerator if c.denominator == 1 else c) for j, c in enumerate(v.coeffs) if c]
+        rows.append([0] * m)
+        for i in range(len(rows) - 1, 0, -1):
+            row, prev = rows[i], rows[i - 1]
+            for s, c in terms:
+                for r, x in enumerate(prev):
+                    if x:
+                        row[(r + s) % m] -= c * x
+    coeffs = [root_sum(m, row) for row in rows]
     for c in coeffs:
         if not c.is_integer():
             raise CheckFailure(f"coefficient {c} of prod (1 - chi_V(g) t) is not a rational integer")

@@ -477,6 +477,8 @@ def default_pair_arguments(n_max: int = 8) -> list[tuple[str, int | None]]:
 def verify_all(n_max: int = 8, k_max: int = 12) -> list[CheckResult]:
     """Every fixture and invariant for the default parameter ranges."""
     _check_k_max(k_max)
+    if n_max < 2:
+        raise DomainError(f"n_max must be at least 2, got {n_max}")
     from .chebyshev import chebyshev_identities_check, exponent_duality_holds, exponents_catalog
 
     results: list[CheckResult] = []

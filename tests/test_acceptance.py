@@ -232,7 +232,7 @@ def test_criterion_10_exponents():
     with criterion(10, "fusion spectrum = chi_V values = 2cos exponent data (1e-9)"):
         reported = []
         for name, n in SECTION2_PAIRS:
-            rep = spectrum_exponents_check(normal_pair(name, n), tol=1e-9)
+            rep = spectrum_exponents_check(normal_pair(name, n))
             assert all(
                 abs(a - b) <= 1e-9
                 for a, b in zip(sorted(rep.affine_eigenvalues), sorted(rep.chi_v_values))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from mckay_slodowy.characters import (
@@ -238,3 +240,18 @@ def test_class_function_requires_matching_length():
     G = family("cyclic", 3)
     with pytest.raises(DomainError):
         ClassFunction(G, [Cyclotomic(1)])
+
+
+def test_modular_oracle_on_a_frobenius_group():
+    # C_53 x| C_4 on the 53 points: x -> x + 1 and x -> 23x, 23 of order 4 mod 53.
+    # Its degree-4 values are sums of four 53rd roots of unity, out of reach
+    # of any search over root-of-unity sums.
+    shift = Permutation([(x + 1) % 53 for x in range(53)])
+    scale = Permutation([(23 * x) % 53 for x in range(53)])
+    G = generate([shift, scale], name="C53:C4")
+    assert (G.order, len(G.classes)) == (212, 17)
+    start = time.perf_counter()
+    tbl = table(G)
+    assert time.perf_counter() - start < 2
+    verify_table(tbl)
+    assert sorted(tbl.degrees) == [1] * 4 + [4] * 13

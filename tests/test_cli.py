@@ -1,8 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import mckay_slodowy
 from mckay_slodowy.cli import run
 
 
@@ -240,3 +246,67 @@ def test_verify_rejects_k_max_before_any_check(monkeypatch, call, k_max):
             verify.verify_pair("S4A4", k_max=k_max)
         else:
             verify.verify_all(n_max=2, k_max=k_max)
+
+
+@pytest.mark.parametrize("n_max", ["1", "-3"])
+def test_verify_all_n_max_below_two_is_a_usage_error(capsys, n_max):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--all", "--n-max", n_max, "--k-max", "0"])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "passed" not in captured.out
+
+
+def test_verify_all_rejects_n_max_before_any_check(monkeypatch):
+    from mckay_slodowy import verify
+    from mckay_slodowy.errors import DomainError
+
+    def no_pair(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "normal_pair", no_pair)
+    with pytest.raises(DomainError, match="n_max"):
+        verify.verify_all(n_max=1, k_max=0)
+
+
+def test_family_above_the_bound_fails_before_the_closure(capsys, monkeypatch):
+    monkeypatch.delenv("MSC_MAX_GROUP_ORDER", raising=False)
+    start = time.perf_counter()
+    code, _, err = _capture(capsys, ["group", "binary_dihedral", "--n", "3000"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "order 12000" in err
+
+
+def _python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run the interpreter on this checkout's package, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mckay_slodowy.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, timeout=300, **kwargs)
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = _python(
+            "-m", "mckay_slodowy.cli", "chartable", "binary_octahedral",
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1, 2, 64)
+
+
+def test_runtime_needs_neither_numpy_nor_networkx():
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = sys.modules['networkx'] = None\n"
+        "from mckay_slodowy.cli import run\n"
+        "codes = [run(['chartable', 'binary_octahedral', '--numeric', '--json']),\n"
+        "         run(['verify', '--pair', 'E6^2', '--k-max', '4'])]\n"
+        "sys.exit(max(codes))\n"
+    )
+    proc = _python("-c", code, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "0 failed" in proc.stdout

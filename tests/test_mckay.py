@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mckay_slodowy.dynkin import adjacency, catalog_for_size, identify, _isomorphic
@@ -176,6 +178,16 @@ def test_identify_is_permutation_invariant():
     permuted = [[A[perm[i]][perm[j]] for j in range(5)] for i in range(5)]
     assert identify(permuted) == "F_4^(1)"
     assert identify([[0, 1], [1, 0]]) == "unrecognized"  # finite A_2 is not affine
+
+
+def test_identify_is_permutation_invariant_across_the_catalog():
+    rng = random.Random(11)
+    for size in range(2, 13):
+        for label, A in catalog_for_size(size):
+            for _ in range(3):
+                perm = rng.sample(range(size), size)
+                permuted = [[A[perm[i]][perm[j]] for j in range(size)] for i in range(size)]
+                assert identify(permuted) == label, (label, perm)
 
 
 def test_graph_edges_and_dot():
