@@ -14,7 +14,15 @@ from functools import cache
 from math import isqrt
 from operator import mul
 
-from .cyclotomic import Cyclotomic, prime_factors, root_of_unity, root_sum, sqrt2, weighted_dot
+from .cyclotomic import (
+    Cyclotomic,
+    linear_combination,
+    prime_factors,
+    root_of_unity,
+    root_sum,
+    sqrt2,
+    weighted_dot,
+)
 from .errors import CheckFailure, DomainError
 from .groups import FiniteGroup, NormalPair
 
@@ -441,14 +449,11 @@ def induce(pair: NormalPair, phi: Character | ClassFunction) -> Decomposed:
     base = phi.base if isinstance(phi, Character) else phi
     if base.group is not pair.N:
         raise DomainError("character does not belong to the pair's subgroup")
-    profile = pair.induction_profile()
     scale = Fraction(1, pair.N.order)
-    values = []
-    for counts in profile:
-        acc = Cyclotomic(0)
-        for nc, cnt in counts.items():
-            acc = acc + cnt * base.values[nc]
-        values.append(scale * acc)
+    values = [
+        scale * linear_combination(counts.values(), [base.values[nc] for nc in counts])
+        for counts in pair.induction_profile()
+    ]
     f = ClassFunction(pair.G, values)
     tbl = table(pair.G)
     return Decomposed(f, tbl.decompose(f), tbl)

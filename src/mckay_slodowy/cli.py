@@ -1,9 +1,12 @@
 """Command-line front end: groups, character tables, McKay-Slodowy pairs,
 Poincare series, Chebyshev data, exponents, and the verification suite.
 
-Exit codes: 0 success, 1 domain error (bad names/ranges), 2 verification
-failure, 64 usage error.  A reader that closes standard output early (as in
-`| head`) ends the run quietly with 0: the rest of the output is discarded.
+Exit codes: 0 success, 1 domain error (bad names/ranges) or any other
+ValueError/ArithmeticError (reported on one line), 2 verification failure,
+64 usage error.  A reader that closes standard output early (as in `| head`)
+ends the run quietly with 0: the rest of the output is discarded.  The CLI
+process prints integers of any length: it lifts Python's limit on int -> str
+conversion, which long series would otherwise hit.
 """
 from __future__ import annotations
 
@@ -341,6 +344,9 @@ def run(argv: list[str] | None = None) -> int:
     except CheckFailure as exc:
         _report_error("verification failure", exc, use_json)
         return 2
+    except (ValueError, ArithmeticError) as exc:
+        _report_error(type(exc).__name__, exc, use_json)
+        return 1
 
 
 def _report_error(kind: str, exc: Exception, use_json: bool) -> None:
@@ -351,6 +357,8 @@ def _report_error(kind: str, exc: Exception, use_json: bool) -> None:
 
 
 def main() -> None:
+    if hasattr(sys, "set_int_max_str_digits"):  # the limit exists from 3.11 (and 3.10.7)
+        sys.set_int_max_str_digits(0)
     try:
         code = run()
         sys.stdout.flush()

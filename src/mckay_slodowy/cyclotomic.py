@@ -77,17 +77,26 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> list[Fraction]:
-    """Remainder of a coefficient vector modulo Phi_n; result has length phi(n)."""
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (j, c) of Phi_n below its leading term x^phi(n)."""
     phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
+    return tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def reduce_mod_phi(n: int, coeffs: list) -> list:
+    """Remainder of a coefficient vector modulo Phi_n; result has length phi(n).
+
+    Works on ints and Fractions alike: an integer vector stays integral."""
+    tail = _phi_tail(n)
+    deg = euler_phi(n)
     c = list(coeffs)
     for i in range(len(c) - 1, deg - 1, -1):
         top = c[i]
         if top:
-            c[i] = Fraction(0)
-            for j in range(deg):
-                c[i - deg + j] -= top * phi[j]
+            base = i - deg
+            for j, p in tail:
+                c[base + j] -= top * p
     c = c[:deg]
     c += [Fraction(0)] * (deg - len(c))
     return c
@@ -99,7 +108,7 @@ def _galois_apply(n: int, coeffs: tuple[Fraction, ...], k: int) -> list[Fraction
     for j, cj in enumerate(coeffs):
         if cj:
             out[(j * k) % n] += cj
-    return _reduce_mod_phi(n, out)
+    return reduce_mod_phi(n, out)
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +119,7 @@ def _subfield_basis(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
     for i in range(euler_phi(d)):
         vec = [Fraction(0)] * (i * step + 1)
         vec[i * step] = Fraction(1)
-        cols.append(tuple(_reduce_mod_phi(n, vec)))
+        cols.append(tuple(reduce_mod_phi(n, vec)))
     return tuple(cols)
 
 
@@ -156,7 +165,7 @@ _CACHE_LIMIT = 1 << 20
 class Cyclotomic:
     """An exact element of Q(zeta_n), immutable and hashable."""
 
-    __slots__ = ("conductor", "coeffs", "_hash", "_conj")
+    __slots__ = ("conductor", "coeffs", "_hash", "_conj", "_terms")
 
     def __init__(self, value: int | Fraction | "Cyclotomic" = 0):
         if isinstance(value, Cyclotomic):
@@ -167,6 +176,7 @@ class Cyclotomic:
             object.__setattr__(self, "coeffs", (Fraction(value),))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_conj", None)
+        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
@@ -174,18 +184,41 @@ class Cyclotomic:
     @classmethod
     def _raw(cls, n: int, coeffs: list[Fraction]) -> "Cyclotomic":
         """Construct from reduced coefficients (length phi(n)); canonicalizes."""
-        n, cf = _canonical(n, coeffs)
+        return cls._canonical_form(*_canonical(n, coeffs))
+
+    @classmethod
+    def _canonical_form(cls, n: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
+        """Construct from coefficients that are already canonical at conductor n."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "conductor", n)
-        object.__setattr__(obj, "coeffs", cf)
+        object.__setattr__(obj, "coeffs", coeffs)
         object.__setattr__(obj, "_hash", None)
         object.__setattr__(obj, "_conj", None)
+        object.__setattr__(obj, "_terms", None)
         return obj
+
+    def _scaled(self, r: Fraction) -> "Cyclotomic":
+        """self * r for a rational r.  Lowering is linear, so a nonzero
+        multiple of a canonical value is canonical at the same conductor."""
+        if r == 1:
+            return self
+        if r == 0:
+            return Cyclotomic(0)
+        return Cyclotomic._canonical_form(self.conductor, tuple(c * r for c in self.coeffs))
+
+    def terms(self) -> tuple[tuple[int, int | Fraction], ...]:
+        """The nonzero (j, coefficient of zeta_n^j) pairs, each coefficient an
+        int when it is integral; computed once per value."""
+        t = self._terms
+        if t is None:
+            t = tuple((j, _integral(c)) for j, c in enumerate(self.coeffs) if c)
+            object.__setattr__(self, "_terms", t)
+        return t
 
     # -- predicates / conversions ------------------------------------
 
     def is_zero(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0] == 0
+        return self.conductor == 1 and not self.coeffs[0]
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -220,7 +253,7 @@ class Cyclotomic:
         for j, c in enumerate(self.coeffs):
             if c:
                 out[j * step] += c
-        return _reduce_mod_phi(m, out)
+        return reduce_mod_phi(m, out)
 
     @staticmethod
     def _coerce(x) -> "Cyclotomic | None":
@@ -241,7 +274,7 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._raw(self.conductor, [-c for c in self.coeffs])
+        return self._scaled(Fraction(-1))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -257,15 +290,9 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         if o.is_rational():
-            r = o.coeffs[0]
-            if r == 1:
-                return self
-            return Cyclotomic._raw(self.conductor, [c * r for c in self.coeffs])
+            return self._scaled(o.coeffs[0])
         if self.is_rational():
-            r = self.coeffs[0]
-            if r == 1:
-                return o
-            return Cyclotomic._raw(o.conductor, [c * r for c in o.coeffs])
+            return o._scaled(self.coeffs[0])
         key = (self, o)
         hit = _MUL_CACHE.get(key)
         if hit is not None:
@@ -278,7 +305,7 @@ class Cyclotomic:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        result = Cyclotomic._raw(m, _reduce_mod_phi(m, prod))
+        result = Cyclotomic._raw(m, reduce_mod_phi(m, prod))
         if len(_MUL_CACHE) < _CACHE_LIMIT:
             _MUL_CACHE[key] = result
         return result
@@ -290,13 +317,13 @@ class Cyclotomic:
             raise ZeroDivisionError("division by zero cyclotomic value")
         if self.is_rational():
             return Cyclotomic(1 / self.coeffs[0])
-        # the norm x * (product of the other Galois conjugates) is a nonzero rational
+        # solve x * y = 1: column j of the multiplication-by-x matrix is the
+        # reduced x * zeta_n^j
         n = self.conductor
-        others = Cyclotomic(1)
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                others = others * self.galois(k)
-        return others * (1 / (self * others).to_rational())
+        deg = len(self.coeffs)
+        cols = [reduce_mod_phi(n, [Fraction(0)] * j + list(self.coeffs)) for j in range(deg)]
+        rows = [[col[i] for col in cols] for i in range(deg)]
+        return Cyclotomic._raw(n, solve_exact(rows, [1] + [0] * (deg - 1)))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -397,7 +424,7 @@ class Cyclotomic:
         n = int(head[4:])
         coeffs = [Fraction(part.strip()) for part in body[:-1].split(",") if part.strip()]
         coeffs += [Fraction(0)] * (euler_phi(n) - len(coeffs))
-        return cls._raw(n, _reduce_mod_phi(n, coeffs))
+        return cls._raw(n, reduce_mod_phi(n, coeffs))
 
     def to_json(self) -> dict:
         return {"conductor": self.conductor, "coeffs": [str(c) for c in self.coeffs]}
@@ -409,7 +436,7 @@ class Cyclotomic:
         n = int(data["conductor"])
         coeffs = [Fraction(c) for c in data["coeffs"]]
         coeffs += [Fraction(0)] * (euler_phi(n) - len(coeffs))
-        return cls._raw(n, _reduce_mod_phi(n, coeffs))
+        return cls._raw(n, reduce_mod_phi(n, coeffs))
 
     def __repr__(self):
         if self.is_rational():
@@ -425,29 +452,70 @@ def weighted_dot(weights, xs, ys) -> Cyclotomic:
     """sum_i weights[i] * xs[i] * conj(ys[i]) for rational weights and
     cyclotomic values, in one pass.
 
-    Every value is embedded once into Z[x]/(x^m - 1), m the lcm of the
-    conductors, where zeta_n^j is x^(j*m/n) and conjugation is x^k -> x^-k.
-    Coefficients accumulate as integers (Fractions only where a coefficient is
-    not integral); the sum is reduced modulo Phi_m and canonicalised once.
+    Every value is embedded into Z[x]/(x^m - 1), m the lcm of the conductors,
+    where zeta_n^j is x^(j*m/n) and conjugation is x^k -> x^-k; the values'
+    own `terms` are read, not rebuilt.  Coefficients accumulate as integers
+    (Fractions only where a coefficient is not integral); the sum is reduced
+    modulo Phi_m and canonicalised once, or not at all when it is rational.
     """
     terms = []
     m = 1
     for w, x, y in zip(weights, xs, ys):
-        x = x if isinstance(x, Cyclotomic) else Cyclotomic(x)
-        y = y if isinstance(y, Cyclotomic) else Cyclotomic(y)
-        if w and x and y:
-            terms.append((_integral(w) if isinstance(w, Fraction) else w, x, y))
-            m = lcm(m, x.conductor, y.conductor)
+        if w:
+            x = x if type(x) is Cyclotomic else Cyclotomic(x)
+            y = y if type(y) is Cyclotomic else Cyclotomic(y)
+            xt, yt = x.terms(), y.terms()
+            if xt and yt:
+                terms.append((w if type(w) is int else _integral(w), x.conductor, xt, y.conductor, yt))
+                m = lcm(m, x.conductor, y.conductor)
     acc = [0] * m
-    for w, x, y in terms:
-        sx, sy = m // x.conductor, m // y.conductor
-        xc = [(j * sx, w * _integral(c)) for j, c in enumerate(x.coeffs) if c]
-        yc = [((-j * sy) % m, _integral(c)) for j, c in enumerate(y.coeffs) if c]
-        for a, u in xc:
-            for b, v in yc:
-                acc[(a + b) % m] += u * v
-    reduced = _reduce_mod_phi(m, acc)
-    return Cyclotomic._raw(m, [Fraction(c) for c in reduced])
+    for w, nx, xt, ny, yt in terms:
+        sx, sy = m // nx, m // ny
+        yt = [(b * sy, v) for b, v in yt]
+        for a, u in xt:
+            a *= sx
+            u *= w
+            for b, v in yt:
+                acc[(a - b) % m] += u * v
+    return root_sum(m, acc)
+
+
+def linear_combination(weights, xs) -> Cyclotomic:
+    """sum_i weights[i] * xs[i] for rational weights and cyclotomic values,
+    accumulated in Z[x]/(x^m - 1) as weighted_dot does and canonicalised once."""
+    pairs = [(w, x) for w, x in zip(weights, xs) if w and x]
+    m = lcm(1, *(x.conductor for _, x in pairs))
+    acc = [0] * m
+    for w, x in pairs:
+        step = m // x.conductor
+        for j, c in x.terms():
+            acc[j * step] += w * c
+    return root_sum(m, acc)
+
+
+# -- the lifted form: values of Q(zeta_m) on one integer denominator ---------
+
+
+def lift(values, m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Values lying in Q(zeta_m) as one positive denominator D and the integer
+    vectors D * (power-basis coefficients at conductor m, reduced modulo Phi_m),
+    with gcd(D, every coefficient) = 1.  The form is unique and hashable."""
+    vecs = [v._embedded(m) for v in values]
+    den = lcm(1, *(c.denominator for v in vecs for c in v))
+    return normalise_lifted(den, [[(c * den).numerator for c in v] for v in vecs])
+
+
+def normalise_lifted(den: int, vecs) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Divide a positive denominator and integer vectors by their common gcd."""
+    g = gcd(den, *(c for v in vecs for c in v))
+    if g == 1:
+        return den, tuple(map(tuple, vecs))
+    return den // g, tuple(tuple(c // g for c in v) for v in vecs)
+
+
+def unlift(m: int, den: int, vec) -> Cyclotomic:
+    """The canonical value of one lifted vector over its denominator."""
+    return Cyclotomic._raw(m, [Fraction(c, den) for c in vec])
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
@@ -461,12 +529,17 @@ def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
     n, k = n // g, k // g
     vec = [Fraction(0)] * (k + 1)
     vec[k] = Fraction(1)
-    return Cyclotomic._raw(n, _reduce_mod_phi(n, vec))
+    return Cyclotomic._raw(n, reduce_mod_phi(n, vec))
 
 
 def root_sum(n: int, counts) -> Cyclotomic:
-    """sum_j counts[j] * zeta_n^j for rational counts, canonicalised once."""
-    return Cyclotomic._raw(n, _reduce_mod_phi(n, [Fraction(c) for c in counts]))
+    """sum_j counts[j] * zeta_n^j for rational counts, reduced modulo Phi_n in
+    the counts' own arithmetic and canonicalised once.  A rational sum (every
+    coefficient past the constant one zero) is built directly."""
+    reduced = reduce_mod_phi(n, list(counts))
+    if not any(reduced[1:]):
+        return Cyclotomic(reduced[0])
+    return Cyclotomic._raw(n, [Fraction(c) for c in reduced])
 
 
 def zeta(n: int, k: int = 1) -> Cyclotomic:

@@ -11,9 +11,20 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from math import lcm
 
-from .cyclotomic import Cyclotomic, root_of_unity, sqrt2, sqrt_minus1
+from .cyclotomic import (
+    Cyclotomic,
+    euler_phi,
+    lift,
+    normalise_lifted,
+    reduce_mod_phi,
+    root_of_unity,
+    sqrt2,
+    sqrt_minus1,
+    unlift,
+)
 from .errors import CheckFailure, ClosureBoundExceeded, DomainError
 
 DEFAULT_MAX_ORDER = 10000
@@ -306,7 +317,8 @@ class FiniteGroup:
 def generate(gens, max_order: int | None = None, name: str = "") -> FiniteGroup:
     """Close a nonempty generator list under multiplication (breadth-first
     from the identity, generator order as given).  Each product w * g is
-    computed once and kept as the group's right multiplication table."""
+    computed once and kept as the group's right multiplication table.
+    Matrices are multiplied as integer keys in Z[zeta_m] (see _lifted_closure)."""
     gens = list(gens)
     if not gens:
         raise DomainError("at least one generator required")
@@ -321,13 +333,23 @@ def generate(gens, max_order: int | None = None, name: str = "") -> FiniteGroup:
         if type(g) is not type(first):
             raise DomainError("mixed element backends")
     bound = _max_order(max_order)
+    if isinstance(first, Matrix2):
+        elements, right = _lifted_closure(gens, bound)
+    else:
+        elements, right = _closure(identity, lambda w: [w * g for g in gens], len(gens), bound)
+    return FiniteGroup(elements, gens, name=name, right_mul=right)
+
+
+def _closure(identity, products, count: int, bound: int):
+    """Breadth-first closure from the identity of hashable elements:
+    products(w) lists w * g for each of the count generators.  Returns
+    (elements, right) with right[k][i] the index of elements[i] * gens[k]."""
     elements = [identity]
     index = {identity: 0}
-    # right[k][i] = index of elements[i] * gens[k]; the queue is the element list
-    right: list[list[int]] = [[] for _ in gens]
+    # the queue is the element list
+    right: list[list[int]] = [[] for _ in range(count)]
     for w in elements:
-        for row, g in zip(right, gens):
-            p = w * g
+        for row, p in zip(right, products(w)):
             j = index.get(p)
             if j is None:
                 if len(elements) >= bound:
@@ -337,7 +359,49 @@ def generate(gens, max_order: int | None = None, name: str = "") -> FiniteGroup:
                 j = index[p] = len(elements)
                 elements.append(p)
             row.append(j)
-    return FiniteGroup(elements, gens, name=name, right_mul=right)
+    return elements, right
+
+
+def _lifted_closure(gens: list[Matrix2], bound: int):
+    """_closure for 2x2 matrices, run on integer keys.
+
+    Every product of the generators has its entries in Q(zeta_m), m the lcm
+    of the generators' entry conductors, so a group element is its lifted
+    form there: one positive denominator and four integer vectors of length
+    phi(m) (cyclotomic.lift).  That form is unique, so it is the hash key.
+    A product costs two sparse integer convolutions per entry, one integer
+    reduction modulo Phi_m and one gcd; canonical Matrix2 values are built
+    once, for the final element list."""
+    m = lcm(*(e.conductor for g in gens for e in g.entries))
+    lifted = [lift(g.entries, m) for g in gens]
+    sparse_gens = [(den, [_sparse(v) for v in vecs]) for den, vecs in lifted]
+
+    def products(w):
+        den, vecs = w
+        a, b, c, d = map(_sparse, vecs)
+        out = []
+        for den_g, (e, f, g, h) in sparse_gens:
+            entries = (_dot2(m, a, e, b, g), _dot2(m, a, f, b, h), _dot2(m, c, e, d, g), _dot2(m, c, f, d, h))
+            out.append(normalise_lifted(den * den_g, entries))
+        return out
+
+    keys, right = _closure(lift(Matrix2.identity().entries, m), products, len(gens), bound)
+    value = cache(partial(unlift, m))  # entries recur across elements
+    return [Matrix2(*(value(den, v) for v in vecs)) for den, vecs in keys], right
+
+
+def _sparse(vec: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(j, c) for j, c in enumerate(vec) if c]
+
+
+def _dot2(m: int, x, e, y, f) -> list[int]:
+    """x*e + y*f modulo Phi_m, for sparse integer coefficient vectors."""
+    acc = [0] * (2 * euler_phi(m) - 1)
+    for p, q in ((x, e), (y, f)):
+        for i, u in p:
+            for j, v in q:
+                acc[i + j] += u * v
+    return reduce_mod_phi(m, acc)
 
 
 # -- the named families ---------------------------------------------------

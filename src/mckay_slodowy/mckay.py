@@ -12,7 +12,7 @@ from math import lcm
 
 from . import dynkin
 from .characters import Character, ClassFunction, induce, restrict, table
-from .cyclotomic import Cyclotomic, root_sum
+from .cyclotomic import Cyclotomic, linear_combination, root_sum
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
 from .linalg import nullspace, rank, solve_exact
@@ -379,7 +379,7 @@ def one_minus_product(values) -> list[int]:
     rows = [[1] + [0] * (m - 1)]
     for v in values:
         step = m // v.conductor
-        terms = [(j * step, c.numerator if c.denominator == 1 else c) for j, c in enumerate(v.coeffs) if c]
+        terms = [(j * step, c) for j, c in v.terms()]
         rows.append([0] * m)
         for i in range(len(rows) - 1, 0, -1):
             row, prev = rows[i], rows[i - 1]
@@ -432,12 +432,12 @@ def eigenvector_check(data: FusionData) -> list[Cyclotomic]:
         v = [m.values[nc] for m in data.rbasis.members]
         w = [m.values[gc] for m in data.ibasis.members]
         for i in range(k):
-            lhs = d * v[i] - sum((At[i][j] * v[j] for j in range(k)), Cyclotomic(0))
+            lhs = d * v[i] - linear_combination(At[i], v)
             if lhs != lam * v[i]:
                 raise CheckFailure(
                     f"restriction eigenvector fails at class {gc}, row {i}"
                 )
-            lhs = d * w[i] - sum((Bt[i][j] * w[j] for j in range(k)), Cyclotomic(0))
+            lhs = d * w[i] - linear_combination(Bt[i], w)
             if lhs != lam * w[i]:
                 raise CheckFailure(
                     f"induction eigenvector fails at class {gc}, row {i}"

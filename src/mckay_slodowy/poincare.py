@@ -10,13 +10,14 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .characters import Character, table
 from .cyclotomic import Cyclotomic, weighted_dot
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
 from .mckay import FusionData, default_module, fusion_matrices, one_minus_product
-from .polynomials import IntPoly, det_poly, identity_minus_t, poly_gcd
+from .polynomials import IntPoly, faddeev_leverrier, poly_gcd
 
 SIDES = ("restriction", "induction")
 
@@ -132,20 +133,26 @@ def series_recursion(data: FusionData, side: str, vertex: int, K: int) -> list[i
 
 
 def series_cramer(data: FusionData, side: str, vertex: int) -> RationalSeries:
-    """Closed form: numerator is det of (I - tM^T) with the vertex column
-    replaced by the unit vector, denominator det(I - tM^T)."""
+    """Closed form by Cramer's rule on (I - tM^T) c = e_0: the numerator is
+    det of (I - tM^T) with the vertex column replaced by the unit vector,
+    i.e. entry (vertex, 0) of adj(I - tM^T), over det(I - tM^T).  Both come
+    from the side's one Faddeev-LeVerrier adjugate (_cramer_forms)."""
     M = _side_matrix(data, side)
     k = len(M)
     if not 0 <= vertex < k:
         raise DomainError(f"vertex {vertex} out of range for size {k}")
-    full = identity_minus_t([list(r) for r in M], transpose=True)
-    den = det_poly(full)
-    replaced = [
-        [IntPoly.const(1 if i == 0 else 0) if j == vertex else full[i][j] for j in range(k)]
-        for i in range(k)
-    ]
-    num = det_poly(replaced)
-    return RationalSeries(num, den)
+    den, numerators = _cramer_forms(data, side)
+    return RationalSeries(numerators[vertex], den)
+
+
+@cache
+def _cramer_forms(data: FusionData, side: str) -> tuple[IntPoly, tuple[IntPoly, ...]]:
+    """(det(I - tM^T), column 0 of adj(I - tM^T) as one polynomial per
+    vertex) for one side, from one Faddeev-LeVerrier recurrence with A = M^T."""
+    M = _side_matrix(data, side)
+    coeffs, mats = faddeev_leverrier([list(col) for col in zip(*M)])
+    numerators = tuple(IntPoly([B[v][0] for B in mats]) for v in range(len(M)))
+    return IntPoly(coeffs), numerators
 
 
 def denominator_product(pair: NormalPair, V: Character | None = None) -> IntPoly:
@@ -169,8 +176,8 @@ def denominator_identity_check(pair: NormalPair, V: Character | None = None) -> 
     if V is None:
         V = default_module(pair)
     data = fusion_matrices(pair, V)
-    det_a = det_poly(identity_minus_t([list(r) for r in data.A], transpose=True))
-    det_b = det_poly(identity_minus_t([list(r) for r in data.B], transpose=True))
+    det_a = _cramer_forms(data, "restriction")[0]
+    det_b = _cramer_forms(data, "induction")[0]
     prod = denominator_product(pair, V)
     if det_a != det_b:
         raise CheckFailure(f"det(I-tA^T) = {det_a} differs from det(I-tB^T) = {det_b}")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from math import gcd as int_gcd
 
+from .errors import CheckFailure
+
 
 def _trim(coeffs) -> tuple[int, ...]:
     c = list(coeffs)
@@ -214,55 +216,16 @@ def _positive(p: IntPoly) -> IntPoly:
     return p
 
 
-_COFACTOR_LIMIT = 12
-
-
 def det_poly(matrix: list[list[IntPoly]]) -> IntPoly:
-    """Determinant of a square matrix over Z[t].
-
-    Cofactor expansion with memoization on column subsets up to size 12,
-    fraction-free Bareiss elimination above that.
-    """
+    """Determinant of a square matrix over Z[t], by fraction-free Bareiss
+    elimination.  The closed forms take their determinants from
+    faddeev_leverrier; this is the independent oracle they are tested against."""
     n = len(matrix)
     if n == 0:
         return IntPoly.const(1)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    if n <= _COFACTOR_LIMIT:
-        return _det_cofactor(matrix)
-    return _det_bareiss(matrix)
-
-
-def _det_cofactor(matrix) -> IntPoly:
-    n = len(matrix)
-    full = (1 << n) - 1
-    memo: dict[int, IntPoly] = {0: IntPoly.const(1)}
-
-    def rec(mask: int) -> IntPoly:
-        if mask in memo:
-            return memo[mask]
-        row = n - bin(mask).count("1")
-        acc = IntPoly()
-        sign = 1
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            entry = matrix[row][j]
-            if not entry.is_zero():
-                sub = rec(mask & ~(1 << j))
-                term = entry * sub
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-            m &= m - 1
-        memo[mask] = acc
-        return acc
-
-    return rec(full)
-
-
-def _det_bareiss(matrix) -> IntPoly:
-    n = len(matrix)
     m = [[matrix[i][j] for j in range(n)] for i in range(n)]
     sign = 1
     prev = IntPoly.const(1)
@@ -283,6 +246,46 @@ def _det_bareiss(matrix) -> IntPoly:
     return det if sign > 0 else -det
 
 
+def faddeev_leverrier(mat) -> tuple[list[int], list[list[list[int]]]]:
+    """The Faddeev-LeVerrier recurrence over Z for a square integer matrix A
+    (Gantmacher, The Theory of Matrices, vol. 1, ch. IV):
+
+        B_0 = I,  a_k = -tr(A B_(k-1)) / k,  B_k = A B_(k-1) + a_k I.
+
+    Returns ([a_0 = 1, a_1, ..., a_r], [B_0, ..., B_(r-1)]), so that
+    det(I - tA) = sum a_k t^k, det(tI - A) = sum a_k t^(r-k) and
+    adj(I - tA) = sum B_k t^k.  Each division by k is exact and B_r = 0
+    (Cayley-Hamilton); CheckFailure if either fails.  A is read by its
+    nonzero entries, so one step costs O(r * nnz(A)) integer operations.
+    """
+    r = len(mat)
+    for row in mat:
+        if len(row) != r:
+            raise ValueError("matrix must be square")
+    rows = [[(l, x) for l, x in enumerate(row) if x] for row in mat]
+    coeffs = [1]
+    mats: list[list[list[int]]] = []
+    B = [[int(i == j) for j in range(r)] for i in range(r)]
+    for k in range(1, r + 1):
+        mats.append(B)
+        AB = [[0] * r for _ in range(r)]
+        for out, row in zip(AB, rows):
+            for l, x in row:
+                for j, y in enumerate(B[l]):
+                    if y:
+                        out[j] += x * y
+        a, rem = divmod(-sum(AB[i][i] for i in range(r)), k)
+        if rem:
+            raise CheckFailure(f"Faddeev-LeVerrier: tr(A B_{k - 1}) is not divisible by {k}")
+        for i in range(r):
+            AB[i][i] += a
+        coeffs.append(a)
+        B = AB
+    if any(any(row) for row in B):
+        raise CheckFailure("Faddeev-LeVerrier: B_r is not zero (Cayley-Hamilton fails)")
+    return coeffs, mats
+
+
 def identity_minus_t(mat: list[list[int]], transpose: bool = False) -> list[list[IntPoly]]:
     """The polynomial matrix I - t*M (or I - t*M^T)."""
     n = len(mat)
@@ -298,11 +301,6 @@ def identity_minus_t(mat: list[list[int]], transpose: bool = False) -> list[list
 
 
 def char_poly(mat: list[list[int]]) -> IntPoly:
-    """det(t*I - M) as an integer polynomial."""
-    n = len(mat)
-    entries = [
-        [IntPoly((-mat[i][j], 1)) if i == j else IntPoly.const(-mat[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
-    return det_poly(entries)
-
+    """det(t*I - M) as an integer polynomial, from faddeev_leverrier."""
+    coeffs, _ = faddeev_leverrier(mat)
+    return IntPoly(coeffs[::-1])

@@ -310,3 +310,42 @@ def test_runtime_needs_neither_numpy_nor_networkx():
     proc = _python("-c", code, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "0 failed" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_coefficients_past_the_int_str_digit_limit_print(fmt):
+    # coefficient 14 300 of the E6^2 invariants series is the first with more
+    # than 4 300 digits, Python's default limit for int -> str
+    proc = _python(
+        "-m", "mckay_slodowy.cli", "poincare", "--pair", "E6^2", "--terms", "14400", *fmt,
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert max(len(digits) for digits in re.findall(r"\d+", proc.stdout)) > 4300
+
+
+def test_value_and_arithmetic_errors_exit_one_on_one_line(capsys, monkeypatch):
+    from mckay_slodowy import cli
+
+    def fail(args):
+        raise ArithmeticError("non-exact polynomial division")
+
+    monkeypatch.setitem(cli._COMMANDS, "chebyshev", fail)
+    code, out, err = _capture(capsys, ["chebyshev", "T", "3"])
+    assert code == 1
+    assert err == "ArithmeticError: non-exact polynomial division\n"
+    code, out, err = _capture(capsys, ["chebyshev", "T", "3", "--json"])
+    assert code == 1
+    assert json.loads(err) == {"error": "ArithmeticError", "detail": "non-exact polynomial division"}
+
+
+def test_verify_reports_value_errors_as_a_named_failure():
+    from mckay_slodowy.verify import _wrap
+
+    def overflow():
+        raise ValueError("Exceeds the limit (4300 digits)")
+
+    result = _wrap("a check", overflow)
+    assert not result.ok
+    assert result.detail == "ValueError: Exceeds the limit (4300 digits)"

@@ -10,7 +10,10 @@ from mckay_slodowy.cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
+    linear_combination,
+    reduce_mod_phi,
     root_of_unity,
+    root_sum,
     sqrt2,
     sqrt_minus1,
     weighted_dot,
@@ -240,3 +243,60 @@ def test_weighted_dot_matches_naive_sum(terms):
 def test_weighted_dot_accepts_rationals():
     assert weighted_dot([2, 3], [1, Fraction(1, 2)], [root_of_unity(4), 4]) == 6 - 2 * root_of_unity(4)
     assert weighted_dot([], [], []) == 0
+
+
+def galois_norm_inverse(x):
+    """Oracle for Cyclotomic.inverse: x^-1 = (prod of the other Galois
+    conjugates) / N(x), the norm N(x) being a nonzero rational."""
+    n = x.conductor
+    others = Cyclotomic(1)
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            others = others * x.galois(k)
+    return others * (1 / (x * others).to_rational())
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_values(), field_values())
+def test_inverse_matches_the_galois_norm_product(x, y):
+    x = x * y + x
+    if x.is_zero():
+        return
+    assert x.inverse() == galois_norm_inverse(x)
+
+
+def _same(a, b):
+    return a.conductor == b.conductor and a.coeffs == b.coeffs and hash(a) == hash(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_values(), _COEFF)
+def test_rational_scaling_matches_raw(x, r):
+    want = Cyclotomic._raw(x.conductor, [c * r for c in x.coeffs])
+    for got in (x * r, r * x, x * Cyclotomic(r), Cyclotomic(r) * x):
+        assert _same(got, want)
+        assert all(type(c) is Fraction for c in got.coeffs)
+    assert _same(-x, Cyclotomic._raw(x.conductor, [-c for c in x.coeffs]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=-5, max_value=5), field_values()), max_size=4))
+def test_rational_results_match_raw(terms):
+    # a value plus all its Galois conjugates sums to a rational (the trace)
+    xs = []
+    for _, x in terms:
+        n = x.conductor
+        xs += [x.galois(k) for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    ones = [1] * len(xs)
+    m = math.lcm(1, *(x.conductor for x in xs))
+    acc = [Fraction(0)] * euler_phi(m)
+    for x in xs:
+        acc = [a + b for a, b in zip(acc, x._embedded(m))]
+    want = Cyclotomic._raw(m, acc)
+    assert want.is_rational()
+    for got in (weighted_dot(ones, xs, ones), linear_combination(ones, xs), root_sum(m, reduce_mod_phi(m, acc))):
+        assert _same(got, want)
+        assert all(type(c) is Fraction for c in got.coeffs)
+    weights = [w for w, _ in terms]
+    combo = sum((w * x for w, x in terms), Cyclotomic(0))
+    assert _same(linear_combination(weights, [x for _, x in terms]), combo)

@@ -377,3 +377,51 @@ def test_pair_without_n_rejects_one(name):
 def test_family_without_n_rejects_one(name):
     with pytest.raises(DomainError, match="takes no n"):
         family(name, 5)
+
+
+def plain_closure(gens):
+    """Oracle for the lifted closure: the breadth-first closure by element
+    products (Matrix2.__mul__ on canonical cyclotomic entries)."""
+    first = gens[0]
+    identity = Matrix2.identity() if isinstance(first, Matrix2) else Permutation.identity(len(first.images))
+    elements, index = [identity], {identity: 0}
+    right = [[] for _ in gens]
+    for w in elements:
+        for row, g in zip(right, gens):
+            p = w * g
+            if p not in index:
+                index[p] = len(elements)
+                elements.append(p)
+            row.append(index[p])
+    return elements, right
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["cyclic", "binary_dihedral"]), st.integers(min_value=2, max_value=24))
+def test_lifted_closure_matches_plain_closure(name, n):
+    lifted_closure_agrees(name, n)
+
+
+@pytest.mark.parametrize("name", ["binary_tetrahedral", "binary_octahedral", "symmetric4", "alternating4"])
+def test_lifted_closure_matches_plain_closure_fixed(name):
+    lifted_closure_agrees(name, None)
+
+
+def lifted_closure_agrees(name, n):
+    gens = family(name, n).generators
+    lifted = generate(gens)
+    elements, right = plain_closure(gens)
+    assert lifted.elements == elements
+    assert all(type(e) is type(gens[0]) for e in lifted.elements)
+    assert lifted._right == right
+    assert lifted.classes == FiniteGroup(elements, gens, right_mul=right).classes
+    # the lifted elements are canonical: they hash and compare like fresh products
+    assert lifted.index == {e: i for i, e in enumerate(elements)}
+
+
+def test_lifted_closure_handles_rational_and_half_integral_entries():
+    # conductor 1 entries, and a generator with denominator 2 (the tetrahedral z)
+    swap = Matrix2(0, 1, -1, 0)
+    assert generate([swap]).elements == plain_closure([swap])[0]
+    z = family("binary_tetrahedral").generators[2]
+    assert generate([z]).elements == plain_closure([z])[0]

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mckay_slodowy.errors import CheckFailure
 from mckay_slodowy.polynomials import (
     IntPoly,
-    _det_bareiss,
-    _det_cofactor,
     char_poly,
     det_poly,
+    faddeev_leverrier,
     identity_minus_t,
     poly_gcd,
 )
@@ -61,10 +61,50 @@ def poly_matrices(draw, size):
     ]
 
 
-@settings(max_examples=20, deadline=None)
-@given(poly_matrices(5))
-def test_bareiss_agrees_with_cofactor(m):
-    assert _det_bareiss(m) == _det_cofactor(m)
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices up to 12 x 12: generic ones, singular ones (the
+    last row a sum of earlier rows, or zero) and nilpotent ones (strictly
+    upper triangular, then permuted)."""
+    r = draw(st.integers(min_value=1, max_value=12))
+    kind = draw(st.sampled_from(["generic", "singular", "nilpotent"]))
+    a = [[draw(_entry) for _ in range(r)] for _ in range(r)]
+    if kind == "singular":
+        a[-1] = [sum(col) for col in zip(*a[: min(2, r - 1)])] if r > 1 else [0]
+    elif kind == "nilpotent":
+        perm = draw(st.permutations(range(r)))
+        upper = [[a[i][j] if i < j else 0 for j in range(r)] for i in range(r)]
+        a = [[upper[perm[i]][perm[j]] for j in range(r)] for i in range(r)]
+    return kind, a
+
+
+@settings(max_examples=25, deadline=None)
+@given(integer_matrices(), st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=3))
+def test_adjugate_agrees_with_bareiss(kind_and_matrix, vertices):
+    # Faddeev-LeVerrier against Bareiss: det(I - tA), and the Cramer numerators
+    # det(I - tA with column v replaced by e_0) = adj(I - tA)[v][0]
+    kind, a = kind_and_matrix
+    r = len(a)
+    coeffs, mats = faddeev_leverrier(a)
+    full = identity_minus_t(a)
+    assert IntPoly(coeffs) == det_poly(full)
+    for v in sorted({v % r for v in vertices}):
+        replaced = [
+            [IntPoly.const(int(i == 0)) if j == v else full[i][j] for j in range(r)]
+            for i in range(r)
+        ]
+        assert IntPoly([b[v][0] for b in mats]) == det_poly(replaced)
+    # det(tI - A), and nilpotent matrices have det(I - tA) = 1
+    t_minus_a = [[IntPoly([-a[i][j], int(i == j)]) for j in range(r)] for i in range(r)]
+    assert char_poly(a) == det_poly(t_minus_a)
+    if kind == "nilpotent":
+        assert coeffs == [1] + [0] * r
+
+
+def test_faddeev_leverrier_rejects_non_integral_traces():
+    # a Fraction entry breaks the exact division by k
+    with pytest.raises(CheckFailure):
+        faddeev_leverrier([[Fraction(1, 2), 0], [0, 0]])
 
 
 @settings(max_examples=20, deadline=None)
