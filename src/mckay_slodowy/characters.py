@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 
 from .cyclotomic import (
     Cyclotomic,
     linear_combination,
     prime_factors,
+    reduce_mod_phi,
     root_of_unity,
     root_sum,
     sqrt2,
@@ -121,15 +122,18 @@ class CharacterTable:
         return [c.degree for c in self.irreducibles]
 
     def decompose(self, f: ClassFunction) -> tuple[int, ...]:
-        """Multiplicities of the irreducibles in f (must be non-negative integers)."""
+        """Multiplicities of the irreducibles in f (must be non-negative
+        integers), from one pass of _pairings."""
+        den, vecs = _pairings(self, f)
         mults = []
-        for chi in self.irreducibles:
-            m = inner_product(f, chi.base)
-            if not m.is_integer() or m.to_integer() < 0:
+        for chi, vec in zip(self.irreducibles, vecs):
+            q, r = divmod(vec[0], den)
+            if r or q < 0 or any(vec[1:]):
+                m = inner_product(f, chi.base)
                 raise CheckFailure(
                     f"non-integral multiplicity {m} of {chi.label} in a class function"
                 )
-            mults.append(m.to_integer())
+            mults.append(q)
         return tuple(mults)
 
     def to_json(self) -> dict:
@@ -147,6 +151,55 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     if a.group is not b.group:
         raise DomainError("class functions live on different groups")
     return Fraction(1, a.group.order) * weighted_dot(a.group.class_sizes(), a.values, b.values)
+
+
+# -- the lifted dual: every pairing <f, chi_i> in one pass ---------------------
+
+
+@cache
+def _table_dual(tbl: CharacterTable, m: int):
+    """The conjugate table lifted once into Z[x]/(x^M - 1), M the lcm of m
+    and the table's conductors, where zeta_n^j is x^(j*M/n) and conjugation
+    sends x^a to x^-a: (M, D, dual) with D one shared denominator and
+    dual[c] the terms (i*M, b, w) of |c| * D * conj(chi_i(c)) = sum of w * x^b."""
+    m = lcm(m, *(v.conductor for chi in tbl for v in chi.values))
+    den = lcm(1, *(c.denominator for chi in tbl for v in chi.values for _, c in v.terms()))
+    dual = []
+    for c, size in enumerate(tbl.group.class_sizes()):
+        col = []
+        for i, chi in enumerate(tbl):
+            v = chi.values[c]
+            step = m // v.conductor
+            col.extend((i * m, -j * step % m, int(size * den * a)) for j, a in v.terms())
+        dual.append(tuple(col))
+    return m, den, tuple(dual)
+
+
+def _pairings(tbl: CharacterTable, f: ClassFunction) -> tuple[int, list[list[int]]]:
+    """All k pairings <f, chi_i> in one pass over f's terms: (D, vecs) with
+    <f, chi_i> = sum_j vecs[i][j] zeta_m^j / D, vecs[i] reduced modulo Phi_m.
+
+    f is lifted on its own denominator against the table's lifted dual;
+    integers accumulate in Z[x]/(x^m - 1), one block of m per irreducible,
+    and each block is reduced once.  No cyclotomic value is built."""
+    if f.group is not tbl.group:
+        raise DomainError("class functions live on different groups")
+    # the group exponent covers every genuine character value
+    m = lcm(tbl.group.exponent(), *(v.conductor for v in f.values))
+    m, dual_den, dual = _table_dual(tbl, m)
+    lifted = [(m // v.conductor, v.terms()) for v in f.values]
+    f_den = lcm(1, *(u.denominator for _, t in lifted for _, u in t))
+    acc = [0] * (len(tbl) * m)
+    for (step, terms), col in zip(lifted, dual):
+        for a, u in terms:
+            a *= step
+            u = int(u * f_den)
+            for base, b, w in col:
+                acc[base + (a + b) % m] += u * w
+    blocks = (acc[base:base + m] for base in range(0, len(acc), m))
+    # a block with nothing past x^0 is already reduced
+    vecs = [reduce_mod_phi(m, blk) if any(blk[1:]) else blk for blk in blocks]
+    return tbl.group.order * dual_den * f_den, vecs
 
 
 # -- exact family tables ----------------------------------------------------
@@ -386,28 +439,32 @@ def table_numeric(group: FiniteGroup) -> CharacterTable:
 
 
 def verify_table(tbl: CharacterTable) -> None:
-    """Exact orthogonality and degree checks; CheckFailure on any violation."""
+    """Exact squareness, degree and row-orthogonality checks; CheckFailure on
+    any violation.
+
+    Column orthogonality follows and is not checked again.  Let X be the
+    k x k table (rows irreducibles, columns classes) and D = diag(|C|).  Row
+    orthogonality is X D X* = |G| I, so D X* / |G| is a right inverse of X.
+    X is square, so it is also a left inverse: D X* X = |G| I, that is
+    X* X = |G| D^-1, which is column orthogonality,
+    sum_chi conj(chi(a)) chi(b) = [a = b] |G| / |C_a|."""
     group = tbl.group
     k = len(tbl.irreducibles)
+    if k != len(group.classes):
+        raise CheckFailure(f"{k} irreducibles for {len(group.classes)} classes")
     if sum(c.degree**2 for c in tbl.irreducibles) != group.order:
         raise CheckFailure("sum of squared degrees does not equal the group order")
+    # rows[j] = (den, vecs) with vecs[i] the lifted den * <chi_j, chi_i>
+    rows = [_pairings(tbl, chi.base) for chi in tbl.irreducibles]
     for i in range(k):
         for j in range(i, k):
-            ip = inner_product(tbl.irreducibles[i].base, tbl.irreducibles[j].base)
-            expected = 1 if i == j else 0
-            if ip != expected:
+            den, vecs = rows[j]
+            vec = vecs[i]
+            if vec[0] != (den if i == j else 0) or any(vec[1:]):
+                ip = inner_product(tbl.irreducibles[i].base, tbl.irreducibles[j].base)
                 raise CheckFailure(
                     f"row orthogonality fails at ({tbl.labels[i]}, {tbl.labels[j]}): {ip}"
                 )
-    sizes = group.class_sizes()
-    ones = [1] * k
-    columns = [[chi.values[a] for chi in tbl.irreducibles] for a in range(k)]
-    for a in range(k):
-        for b in range(a, k):
-            total = weighted_dot(ones, columns[a], columns[b])
-            expected = Fraction(group.order, sizes[a]) if a == b else 0
-            if total != Cyclotomic(Fraction(expected)):
-                raise CheckFailure(f"column orthogonality fails at classes ({a}, {b})")
 
 
 # -- induction / restriction -------------------------------------------------
@@ -461,22 +518,21 @@ def induce(pair: NormalPair, phi: Character | ClassFunction) -> Decomposed:
 
 def frobenius_check(pair: NormalPair) -> list[list[int]]:
     """<rho_i, Ind phi_k>_G == <Res rho_i, phi_k>_N for all (i, k); returns the
-    common integer matrix, raises CheckFailure on any mismatch."""
-    gt, nt = table(pair.G), table(pair.N)
-    induced = [induce(pair, phi).function for phi in nt]
-    restricted = [restrict(pair, rho).function for rho in gt]
+    common integer matrix, raises CheckFailure on any mismatch.
+
+    The two sides are entry i of induce(pair, phi_k).multiplicities and entry
+    k of restrict(pair, rho_i).multiplicities: the same exact pairings, each
+    already checked to be a non-negative integer by decompose."""
+    induced = [induce(pair, phi).multiplicities for phi in table(pair.N)]
+    restricted = [restrict(pair, rho).multiplicities for rho in table(pair.G)]
     out = []
-    for i, rho in enumerate(gt):
+    for i, res in enumerate(restricted):
         row = []
-        for k, phi in enumerate(nt):
-            lhs = inner_product(rho.base, induced[k])
-            rhs = inner_product(restricted[i], phi.base)
-            if lhs != rhs:
+        for k, ind in enumerate(induced):
+            if ind[i] != res[k]:
                 raise CheckFailure(
-                    f"Frobenius reciprocity fails at (i={i}, k={k}): {lhs} vs {rhs}"
+                    f"Frobenius reciprocity fails at (i={i}, k={k}): {ind[i]} vs {res[k]}"
                 )
-            if not lhs.is_integer():
-                raise CheckFailure(f"non-integral pairing at (i={i}, k={k})")
-            row.append(lhs.to_integer())
+            row.append(ind[i])
         out.append(row)
     return out

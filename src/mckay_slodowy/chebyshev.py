@@ -259,8 +259,21 @@ _FINITE_EXPONENTS = {
 }
 
 
+# the subscripts (lowest, highest) each row's formula covers; outside them it
+# degenerates (B_1^(1) would give exponents [0, 0], Coxeter number 0)
+_FINITE_RANKS = {"A": (1, math.inf), "B": (1, math.inf), "C": (1, math.inf),
+                 "D": (2, math.inf), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+_AFFINE_RANKS = {("A", 1): (1, 1), ("B", 1): (2, math.inf), ("C", 1): (1, math.inf),
+                 ("F", 1): (4, 4), ("G", 1): (2, 2), ("A", 2): (2, math.inf),
+                 ("D", 2): (2, math.inf), ("E", 2): (6, 6), ("D", 3): (4, 4)}
+_NO_RANKS = (1, 0)
+
+
 def _affine_exponents(letter: str, sub: int, twist: int) -> tuple[tuple[int, ...], int]:
     """Exponent multiset and affine Coxeter number, one row per diagram."""
+    low, high = _AFFINE_RANKS.get((letter, twist), _NO_RANKS)
+    if not low <= sub <= high:
+        raise DomainError(f"no exponent data for {letter}_{sub}^({twist})")
     if twist == 1:
         if letter == "A" and sub == 1:
             return (0, 1), 1
@@ -291,9 +304,8 @@ def _affine_exponents(letter: str, sub: int, twist: int) -> tuple[tuple[int, ...
             return _affine_exponents("C", sub - 1, 1)
         if letter == "E":  # E_6^{(2)}
             return (0, 2, 3, 4, 6), 6
-    if twist == 3 and letter == "D":  # D_4^{(3)}
-        return (0, 1, 2), 2
-    raise DomainError(f"no exponent data for {letter}_{sub}^({twist})")
+    # D_4^{(3)}, the one row left after _AFFINE_RANKS
+    return (0, 1, 2), 2
 
 
 def exponents_catalog(type_label: str) -> ExponentData:
@@ -311,10 +323,10 @@ def exponents_catalog(type_label: str) -> ExponentData:
     m = re.fullmatch(r"([A-G])_(\d+)", label)
     if m:
         letter, sub = m.group(1), int(m.group(2))
-        try:
-            exps, cox = _FINITE_EXPONENTS[letter](sub)
-        except KeyError:
-            raise DomainError(f"unknown finite type {label!r}") from None
+        low, high = _FINITE_RANKS.get(letter, _NO_RANKS)
+        if not low <= sub <= high:
+            raise DomainError(f"unknown finite type {label!r}")
+        exps, cox = _FINITE_EXPONENTS[letter](sub)
         return ExponentData(label, exps, cox, label, exps, cox)
     raise DomainError(f"cannot parse Dynkin label {type_label!r}")
 

@@ -24,6 +24,8 @@ from .poincare import DEFAULT_BRUTE_FORCE_BOUND, series_cramer, series_recursion
 from .verify import summarize, verify_all, verify_pair
 
 USAGE_EXIT = 64
+# a bound on time: U_2000 takes about 2 s, U_4000 about 8.5 s
+MAX_CHEBYSHEV_DEGREE = 2000
 PAIR_ACTIONS = ("show", "poincare")
 
 _UNICODE_MAP = [
@@ -119,7 +121,7 @@ def _build_parser() -> _Parser:
 
     ch = sub.add_parser("chebyshev", help="Chebyshev polynomial coefficients")
     ch.add_argument("kind", choices=("T", "U"))
-    ch.add_argument("degree", type=int)
+    ch.add_argument("degree", type=_int_between(0, MAX_CHEBYSHEV_DEGREE))
     ch.add_argument("--json", action="store_true")
 
     ex = sub.add_parser("exponents", help="exponents and Coxeter number of a Dynkin type")

@@ -514,22 +514,55 @@ def normalise_lifted(den: int, vecs) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def unlift(m: int, den: int, vec) -> Cyclotomic:
-    """The canonical value of one lifted vector over its denominator."""
+    """The canonical value of one lifted vector over its denominator.  A
+    single root of unity +-zeta_m^k is recognised and built directly."""
+    g = gcd(den, *vec)
+    if g == den:
+        unit = tuple(c // g for c in vec)
+        exponents = _root_exponents(m)
+        k = exponents.get(unit)
+        if k is not None:
+            return root_of_unity(m, k)
+        k = exponents.get(tuple(-c for c in unit))
+        if k is not None:
+            return -root_of_unity(m, k)
     return Cyclotomic._raw(m, [Fraction(c, den) for c in vec])
 
 
+@lru_cache(maxsize=None)
+def _root_exponents(m: int) -> dict[tuple[int, ...], int]:
+    """{power-basis vector of zeta_m^k at conductor m, reduced modulo Phi_m: k}
+    for k = 0..m-1, each power the previous one times x, reduced once."""
+    tail = _phi_tail(m)
+    vec = [1] + [0] * (euler_phi(m) - 1)
+    out = {}
+    for k in range(m):
+        out[tuple(vec)] = k
+        top = vec.pop()
+        vec.insert(0, 0)
+        for j, c in tail:
+            vec[j] -= top * c
+    return out
+
+
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
-    """zeta_n^k in canonical (minimal-conductor) form."""
+    """zeta_n^k in canonical (minimal-conductor) form, built directly.  With
+    g = gcd(k, n) it is a primitive (n/g)-th root, whose field has conductor
+    n/g unless n/g = 2d with d odd; then zeta_2d^j = -zeta_d^((j - d)/2)."""
     if n < 1:
         raise ValueError("conductor must be a positive integer")
-    k %= n
-    if k == 0:
-        return Cyclotomic(1)
     g = gcd(k, n)
-    n, k = n // g, k // g
-    vec = [Fraction(0)] * (k + 1)
-    vec[k] = Fraction(1)
-    return Cyclotomic._raw(n, reduce_mod_phi(n, vec))
+    n = n // g
+    k = k // g % n
+    sign = 1
+    if n % 4 == 2:
+        n //= 2
+        k, sign = (k - n) // 2 % n, -1
+    if n == 1:
+        return Cyclotomic(sign)
+    vec = [0] * (k + 1)
+    vec[k] = sign
+    return Cyclotomic._canonical_form(n, tuple(map(Fraction, reduce_mod_phi(n, vec))))
 
 
 def root_sum(n: int, counts) -> Cyclotomic:

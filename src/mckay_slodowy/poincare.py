@@ -11,9 +11,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
-from .characters import Character, table
-from .cyclotomic import Cyclotomic, weighted_dot
+from .characters import Character, ClassFunction, table
+from .cyclotomic import Cyclotomic
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
 from .mckay import FusionData, default_module, fusion_matrices, one_minus_product
@@ -195,18 +196,21 @@ def brute_force_multiplicity(
     data: FusionData, side: str, vertex: int, k: int, bound: int = DEFAULT_BRUTE_FORCE_BOUND
 ) -> int:
     """dim Hom(basis member, V^(tensor k)) summed over the member's irreducible
-    constituents, straight from the character inner products."""
+    constituents, straight from the character inner products: chi_V^k is
+    decomposed once and dotted with the member's constituent vector."""
     if k > bound:
         raise DomainError(f"tensor power {k} exceeds the bound {bound}")
     group, tbl, chi_v, mult_vectors = _brute_force_side(data, side)
-    return _member_multiplicity(group, tbl, [v**k for v in chi_v], mult_vectors[vertex])
+    constituents = tbl.decompose(ClassFunction(group, [v**k for v in chi_v]))
+    return sum(map(mul, constituents, mult_vectors[vertex]))
 
 
 def brute_force_series(
     data: FusionData, side: str, K: int, bound: int = DEFAULT_BRUTE_FORCE_BOUND
 ) -> list[list[int]]:
     """brute_force_multiplicity for every vertex and every k = 0..K, one list
-    per vertex; the powers chi_V^k are computed once for all of them."""
+    per vertex; each power chi_V^k is computed and decomposed once for all
+    of them."""
     if K > bound:  # name the first power out of reach, as the single-k entry point does
         raise DomainError(f"tensor power {bound + 1} exceeds the bound {bound}")
     group, tbl, chi_v, mult_vectors = _brute_force_side(data, side)
@@ -215,8 +219,9 @@ def brute_force_series(
     for k in range(K + 1):
         if k:
             power = [p * v for p, v in zip(power, chi_v)]
+        constituents = tbl.decompose(ClassFunction(group, power))
         for series, mults in zip(out, mult_vectors):
-            series.append(_member_multiplicity(group, tbl, power, mults))
+            series.append(sum(map(mul, constituents, mults)))
     return out
 
 
@@ -231,21 +236,6 @@ def _brute_force_side(data: FusionData, side: str):
     if side == "induction":
         return pair.G, table(pair.G), list(data.V.values), data.ibasis.mult_vectors
     raise DomainError(f"side must be one of {SIDES}")
-
-
-def _member_multiplicity(group, tbl, power, mults) -> int:
-    """sum over constituents c of mult_c * <chi_V^k, c>, with chi_V^k given per class."""
-    sizes = group.class_sizes()
-    total = 0
-    for const_idx, mult in enumerate(mults):
-        if not mult:
-            continue
-        dot = weighted_dot(sizes, power, tbl.irreducibles[const_idx].values)
-        val = Fraction(1, group.order) * dot
-        if not val.is_integer() or val.to_integer() < 0:
-            raise CheckFailure(f"brute-force multiplicity {val} is not a non-negative integer")
-        total += mult * val.to_integer()
-    return total
 
 
 def invariants_series_check(pair: NormalPair, V: Character | None = None) -> RationalSeries:

@@ -447,8 +447,9 @@ def triple_equivalence_check(data, k_max: int) -> None:
     """The first k_max + 1 multiplicities of every vertex on both sides agree
     when computed three independent ways: the recursion iterates vectors,
     c_k = M^T c_(k-1); the Cramer closed form comes from the Faddeev-LeVerrier
-    matrix recurrence and its traces; the brute force takes character inner
-    products with chi_V^k."""
+    matrix recurrence and its traces; the brute force decomposes chi_V^k into
+    irreducibles once per k and dots the multiplicities with each vertex's
+    constituent vector."""
     for side in ("restriction", "induction"):
         brute_side = brute_force_series(data, side, k_max)
         for vertex in range(data.size):

@@ -1,8 +1,13 @@
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mckay_slodowy.characters import (
+    Character,
+    CharacterTable,
     ClassFunction,
     frobenius_check,
     induce,
@@ -12,8 +17,8 @@ from mckay_slodowy.characters import (
     table_numeric,
     verify_table,
 )
-from mckay_slodowy.cyclotomic import Cyclotomic, root_of_unity, sqrt2
-from mckay_slodowy.errors import DomainError
+from mckay_slodowy.cyclotomic import Cyclotomic, root_of_unity, sqrt2, weighted_dot
+from mckay_slodowy.errors import CheckFailure, DomainError
 from mckay_slodowy.groups import family, generate, normal_pair, Permutation
 
 W = root_of_unity(3)
@@ -255,3 +260,155 @@ def test_modular_oracle_on_a_frobenius_group():
     assert time.perf_counter() - start < 2
     verify_table(tbl)
     assert sorted(tbl.degrees) == [1] * 4 + [4] * 13
+
+
+# -- the lifted pairing kernel against per-irreducible inner products ---------
+
+
+def decompose_oracle(tbl, f):
+    """decompose as one inner_product per irreducible, the loop the lifted
+    kernel replaced."""
+    mults = []
+    for chi in tbl:
+        m = inner_product(f, chi.base)
+        if not m.is_integer() or m.to_integer() < 0:
+            raise CheckFailure(f"non-integral multiplicity {m} of {chi.label} in a class function")
+        mults.append(m.to_integer())
+    return tuple(mults)
+
+
+def column_orthogonality_oracle(tbl):
+    """sum_chi chi(a) conj(chi(b)) = [a = b] |G| / |C_a|, the column half
+    verify_table derives from the row half instead of checking."""
+    group, k = tbl.group, len(tbl)
+    sizes = group.class_sizes()
+    columns = [[chi.values[a] for chi in tbl] for a in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            total = weighted_dot([1] * k, columns[a], columns[b])
+            assert total == (Fraction(group.order, sizes[a]) if a == b else 0), (a, b)
+
+
+def _symmetric3():
+    gens = [Permutation.from_cycles(3, (1, 2, 3)), Permutation.from_cycles(3, (1, 2))]
+    return generate(gens, name="S_3")
+
+
+# every named family at small n, and two Dixon-Schneider tables
+KERNEL_TABLES = {
+    "cyclic-4": lambda: table(family("cyclic", 4)),
+    "cyclic-6": lambda: table(family("cyclic", 6)),
+    "cyclic-12": lambda: table(family("cyclic", 12)),
+    "binary_dihedral-2": lambda: table(family("binary_dihedral", 2)),
+    "binary_dihedral-3": lambda: table(family("binary_dihedral", 3)),
+    "binary_dihedral-5": lambda: table(family("binary_dihedral", 5)),
+    "binary_dihedral-8": lambda: table(family("binary_dihedral", 8)),
+    "binary_tetrahedral": lambda: table(family("binary_tetrahedral")),
+    "binary_octahedral": lambda: table(family("binary_octahedral")),
+    "symmetric4": lambda: table(family("symmetric4")),
+    "alternating4": lambda: table(family("alternating4")),
+    "numeric binary_dihedral-4": lambda: table_numeric(family("binary_dihedral", 4)),
+    "numeric S_3": lambda: table(_symmetric3()),
+}
+
+
+def _outcome(f, decompose):
+    try:
+        return decompose(f)
+    except CheckFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(KERNEL_TABLES)),
+    st.sampled_from(("combination", "product", "scaled")),
+    st.data(),
+)
+def test_lifted_decompose_matches_the_oracle(name, kind, data):
+    tbl = KERNEL_TABLES[name]()
+    k = len(tbl)
+    coeffs = data.draw(st.lists(st.integers(min_value=-1, max_value=3), min_size=k, max_size=k))
+    f = ClassFunction(tbl.group, [0] * k)
+    for c, chi in zip(coeffs, tbl):
+        f = f + c * chi.base
+    if kind == "product":
+        a, b = data.draw(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)))
+        f = tbl[a].base * tbl[b].base + f * tbl[a].base
+    got = _outcome(f, tbl.decompose)
+    assert got == _outcome(f, lambda g: decompose_oracle(tbl, g))
+    if kind == "scaled":
+        # every multiplicity of f + chi_i, one of them odd, times p/q: not integral
+        i = data.draw(st.integers(0, k - 1))
+        q = data.draw(st.integers(2, 5))
+        f = Fraction(1 + q * data.draw(st.integers(0, 3)), q) * (f + f + tbl[i].base)
+        got = _outcome(f, tbl.decompose)
+        assert isinstance(got, str) and got.startswith("non-integral multiplicity")
+        assert got == _outcome(f, lambda g: decompose_oracle(tbl, g))
+
+
+def test_decompose_examples():
+    s4 = table(family("symmetric4"))
+    sq = s4["rho_2^+"].base * s4["rho_2^+"].base
+    assert s4.decompose(sq) == (1, 0, 1, 1, 1)
+    with pytest.raises(CheckFailure, match="non-integral multiplicity 1/2 of rho_0"):
+        s4.decompose(Fraction(1, 2) * sq)
+    with pytest.raises(CheckFailure, match="non-integral multiplicity -1 of rho_0"):
+        s4.decompose(ClassFunction(s4.group, [-1] * 5))
+
+
+def test_decompose_rejects_a_function_on_another_group():
+    # the same number of classes, so only the group tells them apart
+    f = table(family("alternating4"))[1].base
+    c4 = table(family("cyclic", 4))
+    with pytest.raises(DomainError, match="different groups"):
+        c4.decompose(f)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_TABLES))
+def test_column_orthogonality_follows_from_the_row_check(name):
+    tbl = KERNEL_TABLES[name]()
+    verify_table(tbl)
+    column_orthogonality_oracle(tbl)
+
+
+@pytest.mark.parametrize("delta", [1, Fraction(1, 2), root_of_unity(5)], ids=["1", "1/2", "z5"])
+def test_a_perturbed_table_fails_the_row_check(delta):
+    tbl = table(family("binary_tetrahedral"))
+    rows = [list(chi.values) for chi in tbl]
+    rows[3][4] = rows[3][4] + delta  # tau_1 at one class off the identity
+    bad = CharacterTable(
+        tbl.group,
+        [Character(ClassFunction(tbl.group, vals), lbl, irreducible=True) for vals, lbl in zip(rows, tbl.labels)],
+    )
+    with pytest.raises(CheckFailure, match=r"row orthogonality fails at \(tau_0, tau_1\)"):
+        verify_table(bad)
+    bad.irreducibles.pop()
+    with pytest.raises(CheckFailure, match="6 irreducibles for 7 classes"):
+        verify_table(bad)
+
+
+def frobenius_oracle(pair):
+    """The Frobenius matrix from 2 k_G k_N inner products, as frobenius_check
+    computed it before it read induce/restrict multiplicities."""
+    gt, nt = table(pair.G), table(pair.N)
+    induced = [induce(pair, phi).function for phi in nt]
+    restricted = [restrict(pair, rho).function for rho in gt]
+    out = []
+    for i, rho in enumerate(gt):
+        row = []
+        for k, phi in enumerate(nt):
+            lhs = inner_product(rho.base, induced[k])
+            assert lhs == inner_product(restricted[i], phi.base)
+            row.append(lhs.to_integer())
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [("A2n-1^2", 3), ("Dn+1^2", 3), ("A2n^2", 3), ("E6^2", None), ("D4^3", None), ("A2^2", None), ("S4A4", None)],
+)
+def test_frobenius_matrix_matches_the_inner_products(name, n):
+    pair = normal_pair(name, n)
+    assert frobenius_check(pair) == frobenius_oracle(pair)

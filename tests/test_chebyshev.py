@@ -153,6 +153,29 @@ def test_exponents_catalog_rows():
         exponents_catalog("Z_9^(4)")
 
 
+BELOW_FIRST_RANK = [
+    "B_0^(1)", "B_1^(1)", "C_0^(1)", "A_0^(2)", "A_1^(2)", "D_1^(2)", "D_0^(2)",
+    "A_0", "B_0", "C_0", "D_0", "D_1",
+]
+OUTSIDE_ONE_ROW = ["F_3^(1)", "F_5^(1)", "G_3^(1)", "E_5^(2)", "D_5^(3)", "F_3", "G_1", "E_5", "E_9"]
+
+
+@pytest.mark.parametrize("label", BELOW_FIRST_RANK + OUTSIDE_ONE_ROW)
+def test_exponents_reject_ranks_outside_a_row(label):
+    # these used to print rows such as "exponents [-1], Coxeter number -2"
+    with pytest.raises(DomainError):
+        exponents_catalog(label)
+
+
+def test_lowest_ranks_keep_their_rows():
+    # the low-rank coincidences B_2 = C_2, C_1 = A_1, A_3^(2) = D_3^(2)
+    assert exponents_catalog("B_2^(1)").exponents == exponents_catalog("C_2^(1)").exponents == (0, 1, 2)
+    assert exponents_catalog("C_1^(1)").exponents == exponents_catalog("A_1^(1)").exponents == (0, 1)
+    assert exponents_catalog("A_3^(2)").exponents == exponents_catalog("D_3^(2)").exponents
+    assert exponents_catalog("D_2^(2)").coxeter == 1
+    assert (exponents_catalog("D_2").exponents, exponents_catalog("B_1").coxeter) == ((1, 1), 2)
+
+
 def test_exponent_duality_all_rows():
     labels = ["A_1^(1)", "A_2^(2)", "G_2^(1)", "D_4^(3)", "F_4^(1)", "E_6^(2)"]
     labels += [f"C_{l}^(1)" for l in range(2, 9)]

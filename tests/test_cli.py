@@ -149,6 +149,22 @@ def test_exponents_text(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("label", ["B_0^(1)", "B_1^(1)", "A_1^(2)", "D_1^(2)", "C_0", "D_0"])
+def test_exponents_below_a_first_rank_exit_one(capsys, label):
+    for argv in (["exponents", "--type", label], ["exponents", "--type", label, "--json"]):
+        code, out, err = _capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "no exponent data" in err or "unknown finite type" in err
+
+
+@pytest.mark.parametrize("degree", ["-1", "2001", "100000"])
+def test_chebyshev_degree_out_of_range_is_a_usage_error(capsys, degree):
+    with pytest.raises(SystemExit) as exc:
+        run(["chebyshev", "U", degree])
+    assert exc.value.code == 64
+    assert "chebyshev" in capsys.readouterr().err
+
+
 def test_unicode_flag(capsys):
     code, out, _ = _capture(capsys, ["chartable", "binary_dihedral", "--n", "2", "--unicode"])
     assert code == 0

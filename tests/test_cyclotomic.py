@@ -16,6 +16,7 @@ from mckay_slodowy.cyclotomic import (
     root_sum,
     sqrt2,
     sqrt_minus1,
+    unlift,
     weighted_dot,
 )
 
@@ -300,3 +301,33 @@ def test_rational_results_match_raw(terms):
     weights = [w for w, _ in terms]
     combo = sum((w * x for w, x in terms), Cyclotomic(0))
     assert _same(linear_combination(weights, [x for _, x in terms]), combo)
+
+
+def _root_cases(m):
+    """A few exponents per conductor m: the primitive root, its inverse, and
+    powers sharing a factor with m."""
+    return sorted({1, m - 1, m // 2 + 1, 7 * m // 11, m // 3} | (set(range(m)) if m <= 24 else set()))
+
+
+@pytest.mark.parametrize("m", range(1, 201))
+def test_roots_of_unity_are_built_in_canonical_form(m):
+    # root_of_unity and unlift build +-zeta_m^k directly; _raw lowers the
+    # reduced vector of x^k step by step through the Galois-fixed subfields
+    for k in _root_cases(m):
+        x_k = [0] * (k + 1)
+        x_k[k] = 1
+        vec = [int(c) for c in reduce_mod_phi(m, x_k)]
+        for sign in (1, -1):
+            want = Cyclotomic._raw(m, [Fraction(sign * c) for c in vec])
+            signed = [sign * c for c in vec]
+            for got in (sign * root_of_unity(m, k), root_of_unity(m, k + m) * sign,
+                        unlift(m, 1, signed), unlift(m, 3, [3 * c for c in signed])):
+                assert _same(got, want), (m, k, sign)
+                assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_unlift_of_other_values_matches_raw():
+    half = unlift(8, 2, [1, 1, 0, 0])  # (1 + zeta_8) / 2
+    assert _same(half, Cyclotomic._raw(8, [Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)]))
+    assert _same(unlift(12, 1, [0, 0, 0, 0]), Cyclotomic(0))
+    assert _same(unlift(5, 1, [2, 0, 0, 0]), Cyclotomic(2))

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from mckay_slodowy.characters import table
+from mckay_slodowy.cyclotomic import Cyclotomic, weighted_dot
 from mckay_slodowy.errors import DomainError
 from mckay_slodowy.groups import normal_pair
 from mckay_slodowy.mckay import fusion_matrices
@@ -155,6 +158,42 @@ def test_brute_force_examples():
     assert brute_force_multiplicity(d2, "restriction", 0, 4) == 4
     with pytest.raises(DomainError):
         brute_force_multiplicity(d, "restriction", 0, 21)
+
+
+def brute_force_oracle(data, side, K):
+    """brute_force_series by one weighted_dot per (k, vertex, constituent),
+    the path it replaced by one decomposition of chi_V^k per k."""
+    pair = data.pair
+    if side == "restriction":
+        group, chi_v = pair.N, [data.V.values[gc] for gc in pair.n_class_to_g_class]
+        mult_vectors = data.rbasis.mult_vectors
+    else:
+        group, chi_v, mult_vectors = pair.G, list(data.V.values), data.ibasis.mult_vectors
+    tbl, sizes = table(group), group.class_sizes()
+    out = []
+    for mults in mult_vectors:
+        series = []
+        for k in range(K + 1):
+            power = [v**k for v in chi_v]
+            total = 0
+            for chi, mult in zip(tbl, mults):
+                if mult:
+                    val = Fraction(1, group.order) * weighted_dot(sizes, power, chi.values)
+                    total += mult * val.to_integer()
+            series.append(total)
+        out.append(series)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,n", [("A2n-1^2", 3), ("Dn+1^2", 3), ("A2n^2", 3), ("E6^2", None), ("D4^3", None), ("S4A4", None)]
+)
+def test_brute_force_series_matches_the_inner_product_path(name, n):
+    data = fusion_matrices(normal_pair(name, n))
+    for side in ("restriction", "induction"):
+        want = brute_force_oracle(data, side, 8)
+        assert brute_force_series(data, side, 8) == want
+        assert [brute_force_multiplicity(data, side, v, 7) for v in range(data.size)] == [w[7] for w in want]
 
 
 def test_invariants_series_closed_values():
