@@ -16,12 +16,12 @@ from operator import mul
 
 from .cyclotomic import (
     Cyclotomic,
-    linear_combination,
     prime_factors,
     reduce_mod_phi,
     root_of_unity,
     root_sum,
     sqrt2,
+    unlift,
     weighted_dot,
 )
 from .errors import CheckFailure, DomainError
@@ -29,9 +29,17 @@ from .groups import FiniteGroup, NormalPair
 
 
 class ClassFunction:
-    """A function constant on conjugacy classes, one cyclotomic value per class."""
+    """A function constant on conjugacy classes, one cyclotomic value per class.
 
-    __slots__ = ("group", "values")
+    It is held in either of two forms, and the other is built on first use.
+    One is the canonical values.  The other is the lifted form (m, D, cols):
+    cols[c] holds the sparse (exponent mod m, integer) terms of D * f(c) in
+    Z[x]/(x^m - 1), where zeta_m^j is x^j.  The terms are not reduced modulo
+    Phi_m: pairing with a table is a ring map, and _pairings reduces once
+    per irreducible.  Products, induction and the pairings run on the lifted
+    form; `values` reduces and canonicalises each class once, when read."""
+
+    __slots__ = ("group", "_values", "_lifted", "_hash")
 
     def __init__(self, group: FiniteGroup, values):
         vals = tuple(v if isinstance(v, Cyclotomic) else Cyclotomic(v) for v in values)
@@ -40,17 +48,59 @@ class ClassFunction:
                 f"{len(vals)} values for {len(group.classes)} classes"
             )
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_values", vals)
+        object.__setattr__(self, "_lifted", None)
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def from_lifted(cls, group: FiniteGroup, m: int, den: int, cols) -> "ClassFunction":
+        """The class function with lifted form (m, den, cols); see the class."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "group", group)
+        object.__setattr__(obj, "_values", None)
+        object.__setattr__(obj, "_lifted", (m, den, tuple(cols)))
+        object.__setattr__(obj, "_hash", None)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassFunction is immutable")
+
+    @property
+    def values(self) -> tuple[Cyclotomic, ...]:
+        vals = self._values
+        if vals is None:
+            m, den, cols = self._lifted
+            vals = []
+            for terms in cols:
+                acc = [0] * m
+                for a, u in terms:
+                    acc[a] += u
+                vals.append(unlift(m, den, reduce_mod_phi(m, acc)))
+            vals = tuple(vals)
+            object.__setattr__(self, "_values", vals)
+        return vals
+
+    def lifted(self) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """The lifted form (m, D, cols); a function built from values is
+        lifted at m the lcm of the group exponent and its conductors."""
+        lf = self._lifted
+        if lf is None:
+            vals = self._values
+            m = lcm(self.group.exponent(), *(v.conductor for v in vals))
+            den = lcm(1, *(c.denominator for v in vals for _, c in v.terms()))
+            lf = (m, den, tuple(
+                tuple((j * (m // v.conductor), int(c * den)) for j, c in v.terms())
+                for v in vals
+            ))
+            object.__setattr__(self, "_lifted", lf)
+        return lf
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         # pointwise product = character of the tensor product
         if isinstance(other, ClassFunction):
             if other.group is not self.group:
                 raise DomainError("class functions live on different groups")
-            return ClassFunction(self.group, [a * b for a, b in zip(self.values, other.values)])
+            return _lifted_product(self, other)
         return ClassFunction(self.group, [v * other for v in self.values])
 
     __rmul__ = __mul__
@@ -71,10 +121,37 @@ class ClassFunction:
         )
 
     def __hash__(self):
-        return hash((id(self.group), self.values))
+        h = self._hash
+        if h is None:
+            h = hash((id(self.group), self.values))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return f"ClassFunction({self.group.name}, {[str(v) for v in self.values]})"
+
+
+def _lifted_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
+    """f * g pointwise, by one sparse convolution per class in
+    Z[x]/(x^m - 1), m the lcm of the two conductors, over D_f * D_g."""
+    mf, df, cf = f.lifted()
+    mg, dg, cg = g.lifted()
+    m = lcm(mf, mg)
+    sf, sg = m // mf, m // mg
+    cols = [
+        _collect(((a * sf + b * sg) % m, u * w) for a, u in tf for b, w in tg)
+        for tf, tg in zip(cf, cg)
+    ]
+    return ClassFunction.from_lifted(f.group, m, df * dg, cols)
+
+
+def _collect(terms) -> tuple[tuple[int, int], ...]:
+    """Sparse (exponent, coefficient) terms with equal exponents summed and
+    zero sums dropped."""
+    acc: dict[int, int] = {}
+    for e, c in terms:
+        acc[e] = acc.get(e, 0) + c
+    return tuple((e, c) for e, c in acc.items() if c)
 
 
 @dataclass(frozen=True)
@@ -179,21 +256,19 @@ def _pairings(tbl: CharacterTable, f: ClassFunction) -> tuple[int, list[list[int
     """All k pairings <f, chi_i> in one pass over f's terms: (D, vecs) with
     <f, chi_i> = sum_j vecs[i][j] zeta_m^j / D, vecs[i] reduced modulo Phi_m.
 
-    f is lifted on its own denominator against the table's lifted dual;
-    integers accumulate in Z[x]/(x^m - 1), one block of m per irreducible,
+    f's lifted form is read against the table's lifted dual; integers
+    accumulate in Z[x]/(x^m - 1), one block of m per irreducible,
     and each block is reduced once.  No cyclotomic value is built."""
     if f.group is not tbl.group:
         raise DomainError("class functions live on different groups")
+    f_m, f_den, cols = f.lifted()
     # the group exponent covers every genuine character value
-    m = lcm(tbl.group.exponent(), *(v.conductor for v in f.values))
-    m, dual_den, dual = _table_dual(tbl, m)
-    lifted = [(m // v.conductor, v.terms()) for v in f.values]
-    f_den = lcm(1, *(u.denominator for _, t in lifted for _, u in t))
+    m, dual_den, dual = _table_dual(tbl, lcm(tbl.group.exponent(), f_m))
+    step = m // f_m
     acc = [0] * (len(tbl) * m)
-    for (step, terms), col in zip(lifted, dual):
+    for terms, col in zip(cols, dual):
         for a, u in terms:
             a *= step
-            u = int(u * f_den)
             for base, b, w in col:
                 acc[base + (a + b) % m] += u * w
     blocks = (acc[base:base + m] for base in range(0, len(acc), m))
@@ -487,7 +562,8 @@ class Decomposed:
 
     @property
     def degree(self) -> int:
-        return self.function.values[0].to_integer()
+        """f(1) = sum_i m_i chi_i(1), read off the multiplicities."""
+        return sum(map(mul, self.multiplicities, self.table.degrees))
 
 
 def restrict(pair: NormalPair, chi: Character | ClassFunction) -> Decomposed:
@@ -502,16 +578,20 @@ def restrict(pair: NormalPair, chi: Character | ClassFunction) -> Decomposed:
 
 
 def induce(pair: NormalPair, phi: Character | ClassFunction) -> Decomposed:
-    """Induce an N-character up to G (zero off the classes meeting N)."""
+    """Induce an N-character up to G (zero off the classes meeting N).
+
+    (Ind phi)(g) = (1/|N|) sum over N-classes c of counts[c] * phi(c), with
+    the counts of pair.induction_profile(), is summed on phi's lifted terms:
+    the result stays lifted, over |N| * D."""
     base = phi.base if isinstance(phi, Character) else phi
     if base.group is not pair.N:
         raise DomainError("character does not belong to the pair's subgroup")
-    scale = Fraction(1, pair.N.order)
-    values = [
-        scale * linear_combination(counts.values(), [base.values[nc] for nc in counts])
+    m, den, cols = base.lifted()
+    induced = [
+        _collect((a, count * u) for nc, count in counts.items() for a, u in cols[nc])
         for counts in pair.induction_profile()
     ]
-    f = ClassFunction(pair.G, values)
+    f = ClassFunction.from_lifted(pair.G, m, pair.N.order * den, induced)
     tbl = table(pair.G)
     return Decomposed(f, tbl.decompose(f), tbl)
 

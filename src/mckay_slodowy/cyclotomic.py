@@ -98,7 +98,7 @@ def reduce_mod_phi(n: int, coeffs: list) -> list:
             for j, p in tail:
                 c[base + j] -= top * p
     c = c[:deg]
-    c += [Fraction(0)] * (deg - len(c))
+    c += [0] * (deg - len(c))
     return c
 
 
@@ -515,7 +515,10 @@ def normalise_lifted(den: int, vecs) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 def unlift(m: int, den: int, vec) -> Cyclotomic:
     """The canonical value of one lifted vector over its denominator.  A
-    single root of unity +-zeta_m^k is recognised and built directly."""
+    rational value and a single root of unity +-zeta_m^k are recognised and
+    built directly."""
+    if not any(vec[1:]):
+        return Cyclotomic(Fraction(vec[0], den))
     g = gcd(den, *vec)
     if g == den:
         unit = tuple(c // g for c in vec)

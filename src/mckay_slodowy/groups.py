@@ -247,13 +247,12 @@ class FiniteGroup:
             self._element_orders[i] = k
         return self._element_orders[i]
 
+    @cache
     def exponent(self) -> int:
-        from math import lcm
-
-        e = 1
-        for c in self.class_reps:
-            e = lcm(e, self.element_order(c))
-        return e
+        """The lcm of the element orders, over one representative per class
+        (conjugates share an order, so choosing other representatives
+        leaves it alone)."""
+        return lcm(1, *(self.element_order(c) for c in self.class_reps))
 
     def _compute_classes(self) -> None:
         # conjugation by generators generates conjugation by the whole group

@@ -9,10 +9,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from operator import mul
 
 from . import dynkin
 from .characters import Character, ClassFunction, induce, restrict, table
-from .cyclotomic import Cyclotomic, linear_combination, root_sum
+from .cyclotomic import Cyclotomic, reduce_mod_phi, root_sum
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
 from .linalg import nullspace, rank, solve_exact
@@ -54,7 +55,9 @@ class InductionBasis:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(m.values[0].to_integer() for m in self.members)
+        # sum_i m_i chi_i(1): the members stay lifted
+        degs = table(self.pair.G).degrees
+        return tuple(sum(map(mul, mv, degs)) for mv in self.mult_vectors)
 
     def index_of_origin(self, n_label: str) -> int:
         nt = table(self.pair.N)
@@ -105,8 +108,9 @@ def induction_basis(pair: NormalPair) -> InductionBasis:
     origins: list[list[int]] = []
     for ni, phi in enumerate(nt):
         dec = induce(pair, phi)
-        if dec.function in members:
-            origins[members.index(dec.function)].append(ni)
+        # the irreducibles are a basis, so equal multiplicities mean equal functions
+        if dec.multiplicities in mults:
+            origins[mults.index(dec.multiplicities)].append(ni)
         else:
             members.append(dec.function)
             mults.append(dec.multiplicities)
@@ -141,9 +145,12 @@ def induction_basis(pair: NormalPair) -> InductionBasis:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionData:
-    """The two fusion matrices of a pair for a fixed module V, with bases."""
+    """The two fusion matrices of a pair for a fixed module V, with bases.
+
+    Compared and hashed by identity: only the memoised _fusion_matrices
+    builds one, and the caches keyed by it need not hash the bases."""
 
     pair: NormalPair
     V: Character
@@ -417,29 +424,42 @@ def eigenvector_check(data: FusionData) -> list[Cyclotomic]:
     """Restricted/induced character-value vectors are exact eigenvectors of
     (dI - A^T) resp. (dI - B^T) with eigenvalue d - chi_V(g); the degree
     vectors (g = identity) lie in the kernels.  Returns the eigenvalue list,
-    one per Upsilon(N) class."""
+    one per Upsilon(N) class.
+
+    d v_i - (M^T v)_i = (d - chi_V(g)) v_i is checked as
+    sum_j M^T[i][j] v_j - chi_V(g) v_i = 0, on the lifted forms of the basis
+    members and of chi_V: integers in Z[x]/(x^m - 1) over one denominator,
+    reduced modulo Phi_m once per row."""
     pair = data.pair
     d = data.V.degree
-    k = data.size
-    At = [[data.A[j][i] for j in range(k)] for i in range(k)]
-    Bt = [[data.B[j][i] for j in range(k)] for i in range(k)]
+    v_m, v_den, v_cols = data.V.base.lifted()
+    sides = []
+    for side, M, basis in (("restriction", data.A, data.rbasis), ("induction", data.B, data.ibasis)):
+        forms = [f.lifted() for f in basis.members]
+        m = lcm(v_m, *(f_m for f_m, _, _ in forms))
+        den = lcm(*(f_den for _, f_den, _ in forms))
+        sides.append((side, M, m, den, forms))
     eigenvalues = []
     for gc in pair.upsilonN:
-        chi_v = data.V.values[gc]
-        lam = d - chi_v
-        eigenvalues.append(lam)
-        nc = pair.g_class_with_n_values(gc)
-        v = [m.values[nc] for m in data.rbasis.members]
-        w = [m.values[gc] for m in data.ibasis.members]
-        for i in range(k):
-            lhs = d * v[i] - linear_combination(At[i], v)
-            if lhs != lam * v[i]:
-                raise CheckFailure(
-                    f"restriction eigenvector fails at class {gc}, row {i}"
-                )
-            lhs = d * w[i] - linear_combination(Bt[i], w)
-            if lhs != lam * w[i]:
-                raise CheckFailure(
-                    f"induction eigenvector fails at class {gc}, row {i}"
-                )
+        eigenvalues.append(d - data.V.values[gc])
+        for side, M, m, den, forms in sides:
+            c = pair.g_class_with_n_values(gc) if side == "restriction" else gc
+            # v_j(c) as (exponent, den * coefficient) terms at conductor m
+            v = [
+                [(a * (m // f_m), u * (den // f_den)) for a, u in cols[c]]
+                for f_m, f_den, cols in forms
+            ]
+            chi = [(a * (m // v_m), u) for a, u in v_cols[gc]]
+            for i, vi in enumerate(v):
+                acc = [0] * m
+                for j, vj in enumerate(v):
+                    w = M[j][i] * v_den
+                    if w:
+                        for a, u in vj:
+                            acc[a] += w * u
+                for a, u in chi:
+                    for b, w in vi:
+                        acc[(a + b) % m] -= u * w
+                if any(acc) and any(reduce_mod_phi(m, acc)):
+                    raise CheckFailure(f"{side} eigenvector fails at class {gc}, row {i}")
     return eigenvalues

@@ -11,10 +11,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from operator import mul
 
 from .characters import Character, ClassFunction, table
-from .cyclotomic import Cyclotomic
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
 from .mckay import FusionData, default_module, fusion_matrices, one_minus_product
@@ -200,8 +200,8 @@ def brute_force_multiplicity(
     decomposed once and dotted with the member's constituent vector."""
     if k > bound:
         raise DomainError(f"tensor power {k} exceeds the bound {bound}")
-    group, tbl, chi_v, mult_vectors = _brute_force_side(data, side)
-    constituents = tbl.decompose(ClassFunction(group, [v**k for v in chi_v]))
+    tbl, powers, mult_vectors = _brute_force_side(data, side)
+    constituents = tbl.decompose(next(islice(powers, k, None)))
     return sum(map(mul, constituents, mult_vectors[vertex]))
 
 
@@ -213,29 +213,36 @@ def brute_force_series(
     of them."""
     if K > bound:  # name the first power out of reach, as the single-k entry point does
         raise DomainError(f"tensor power {bound + 1} exceeds the bound {bound}")
-    group, tbl, chi_v, mult_vectors = _brute_force_side(data, side)
+    tbl, powers, mult_vectors = _brute_force_side(data, side)
     out: list[list[int]] = [[] for _ in mult_vectors]
-    power = [Cyclotomic(1)] * len(chi_v)
-    for k in range(K + 1):
-        if k:
-            power = [p * v for p, v in zip(power, chi_v)]
-        constituents = tbl.decompose(ClassFunction(group, power))
+    for power in islice(powers, K + 1):
+        constituents = tbl.decompose(power)
         for series, mults in zip(out, mult_vectors):
             series.append(sum(map(mul, constituents, mults)))
     return out
 
 
 def _brute_force_side(data: FusionData, side: str):
-    """(group, its table, chi_V on its classes, constituent multiplicities of
-    each basis member) for one side."""
+    """(the side's table, the powers chi_V^0, chi_V^1, ... on its group as
+    lifted class functions, constituent multiplicities of each basis member)."""
     _require_self_dual(data.V)
     pair = data.pair
     if side == "restriction":
         chi_v = [data.V.values[gc] for gc in pair.n_class_to_g_class]
-        return pair.N, table(pair.N), chi_v, data.rbasis.mult_vectors
-    if side == "induction":
-        return pair.G, table(pair.G), list(data.V.values), data.ibasis.mult_vectors
-    raise DomainError(f"side must be one of {SIDES}")
+        group, mult_vectors = pair.N, data.rbasis.mult_vectors
+    elif side == "induction":
+        chi_v, group, mult_vectors = data.V.values, pair.G, data.ibasis.mult_vectors
+    else:
+        raise DomainError(f"side must be one of {SIDES}")
+    return table(group), _powers(ClassFunction(group, chi_v)), mult_vectors
+
+
+def _powers(chi: ClassFunction):
+    """chi^0, chi^1, chi^2, ...: each the previous times chi, a lifted product."""
+    power = ClassFunction(chi.group, [1] * len(chi.group.classes))
+    while True:
+        yield power
+        power = power * chi
 
 
 def invariants_series_check(pair: NormalPair, V: Character | None = None) -> RationalSeries:

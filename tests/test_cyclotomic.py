@@ -331,3 +331,12 @@ def test_unlift_of_other_values_matches_raw():
     assert _same(half, Cyclotomic._raw(8, [Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)]))
     assert _same(unlift(12, 1, [0, 0, 0, 0]), Cyclotomic(0))
     assert _same(unlift(5, 1, [2, 0, 0, 0]), Cyclotomic(2))
+
+
+def test_reduce_mod_phi_keeps_a_short_integer_vector_integral():
+    # padding a vector shorter than phi(n) used to add Fraction(0)s, which
+    # made unlift's gcd raise TypeError
+    reduced = reduce_mod_phi(12, [0, 1])
+    assert reduced == [0, 1, 0, 0] and all(type(c) is int for c in reduced)
+    assert _same(unlift(12, 1, reduce_mod_phi(12, [0, 1])), root_of_unity(12))
+    assert _same(unlift(12, 2, reduce_mod_phi(12, [1, 1])), (1 + root_of_unity(12)) / 2)

@@ -425,3 +425,15 @@ def test_lifted_closure_handles_rational_and_half_integral_entries():
     assert generate([swap]).elements == plain_closure([swap])[0]
     z = family("binary_tetrahedral").generators[2]
     assert generate([z]).elements == plain_closure([z])[0]
+
+
+def test_exponent_is_computed_once_per_group(monkeypatch):
+    # a fresh group: S_4 from a 4-cycle and a transposition, exponent 12
+    G = generate([Permutation.from_cycles(4, (1, 2, 3, 4)), Permutation.from_cycles(4, (1, 2))])
+    calls = []
+    real = FiniteGroup.element_order
+    monkeypatch.setattr(FiniteGroup, "element_order", lambda self, i: calls.append(i) or real(self, i))
+    assert G.exponent() == 12
+    assert len(calls) == len(G.classes)
+    assert G.exponent() == 12
+    assert len(calls) == len(G.classes)

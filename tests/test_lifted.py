@@ -1,0 +1,146 @@
+"""The lifted class functions against the kernels they replaced, kept here as
+oracles: induction by one linear_combination per class, products and powers
+of chi_V as Cyclotomic products, and the eigenvector check row by row on
+Cyclotomic values.  The brute-force series has its Cyclotomic-power oracle
+in test_poincare."""
+import dataclasses
+from fractions import Fraction
+from itertools import islice
+
+import pytest
+
+from mckay_slodowy import characters, cyclotomic, groups
+from mckay_slodowy.characters import ClassFunction, induce, table
+from mckay_slodowy.cyclotomic import linear_combination
+from mckay_slodowy.errors import CheckFailure
+from mckay_slodowy.groups import PAIR_N_MIN, family, normal_pair, pair_from_groups
+from mckay_slodowy.mckay import _solve_in_basis, eigenvector_check, fusion_matrices, induction_basis
+from mckay_slodowy.poincare import _powers, series_cramer
+
+FIXED = [("E6^2", None), ("D4^3", None), ("A2^2", None), ("S4A4", None)]
+SEVEN = [("A2n-1^2", 3), ("Dn+1^2", 3), ("A2n^2", 3)] + FIXED
+SMALL = [(name, n) for name, low in PAIR_N_MIN.items() for n in range(low, 6)] + FIXED
+
+
+def induce_oracle(pair, phi):
+    """Ind phi as canonical values: (1/|N|) * one linear_combination per G-class."""
+    scale = Fraction(1, pair.N.order)
+    return tuple(
+        scale * linear_combination(counts.values(), [phi.values[nc] for nc in counts])
+        for counts in pair.induction_profile()
+    )
+
+
+def fusion_oracle(data):
+    """(A, B) with each V * member a list of Cyclotomic products."""
+    pair, V = data.pair, data.V
+    v_res = [V.values[gc] for gc in pair.n_class_to_g_class]
+    out = []
+    for group, chi_v, basis in ((pair.N, v_res, data.rbasis), (pair.G, V.values, data.ibasis)):
+        tbl = table(group)
+        cols = [
+            _solve_in_basis(
+                basis.mult_vectors,
+                tbl.decompose(ClassFunction(group, [a * b for a, b in zip(chi_v, member.values)])),
+            )
+            for member in basis.members
+        ]
+        out.append(tuple(zip(*cols)))
+    return tuple(out)
+
+
+def eigenvector_oracle(data):
+    """The eigenvector check on Cyclotomic values, one linear_combination per row."""
+    pair = data.pair
+    d = data.V.degree
+    k = data.size
+    At = [[data.A[j][i] for j in range(k)] for i in range(k)]
+    Bt = [[data.B[j][i] for j in range(k)] for i in range(k)]
+    eigenvalues = []
+    for gc in pair.upsilonN:
+        lam = d - data.V.values[gc]
+        eigenvalues.append(lam)
+        nc = pair.g_class_with_n_values(gc)
+        v = [m.values[nc] for m in data.rbasis.members]
+        w = [m.values[gc] for m in data.ibasis.members]
+        for i in range(k):
+            if d * v[i] - linear_combination(At[i], v) != lam * v[i]:
+                raise CheckFailure(f"restriction eigenvector fails at class {gc}, row {i}")
+            if d * w[i] - linear_combination(Bt[i], w) != lam * w[i]:
+                raise CheckFailure(f"induction eigenvector fails at class {gc}, row {i}")
+    return eigenvalues
+
+
+@pytest.mark.parametrize("name,n", SMALL)
+def test_induced_values_match_the_linear_combination_oracle(name, n):
+    pair = normal_pair(name, n)
+    for phi in table(pair.N):
+        dec = induce(pair, phi)
+        assert dec.function.values == induce_oracle(pair, phi.base)
+        assert dec.degree == dec.function.values[0].to_integer()
+    ibasis = induction_basis(pair)
+    assert ibasis.degrees == tuple(m.values[0].to_integer() for m in ibasis.members)
+
+
+@pytest.mark.parametrize("name,n", SEVEN)
+def test_fusion_matrices_match_the_cyclotomic_products(name, n):
+    data = fusion_matrices(normal_pair(name, n))
+    assert (data.A, data.B) == fusion_oracle(data)
+
+
+@pytest.mark.parametrize("name,n", SEVEN)
+def test_lifted_powers_read_back_as_cyclotomic_powers(name, n):
+    G = normal_pair(name, n).G
+    chi = table(G)[1].base
+    for k, power in enumerate(islice(_powers(chi), 6)):
+        assert power.values == tuple(v**k for v in chi.values)
+    assert (chi * chi).values == tuple(v * v for v in chi.values)
+
+
+@pytest.mark.parametrize("name,n", SMALL)
+def test_eigenvector_check_matches_the_row_by_row_oracle(name, n):
+    data = fusion_matrices(normal_pair(name, n))
+    assert eigenvector_check(data) == eigenvector_oracle(data)
+
+
+@pytest.mark.parametrize("name,n", SEVEN)
+def test_a_perturbed_fusion_matrix_fails_the_eigenvector_check(name, n):
+    data = fusion_matrices(normal_pair(name, n))
+    # one more copy of member 0 in V * member 0: the identity class already fails
+    for field, side in (("A", "restriction"), ("B", "induction")):
+        M = [list(row) for row in getattr(data, field)]
+        M[0][0] += 1
+        bad = dataclasses.replace(data, **{field: tuple(map(tuple, M))})
+        with pytest.raises(CheckFailure, match=f"{side} eigenvector fails at class 0, row 0"):
+            eigenvector_check(bad)
+        with pytest.raises(CheckFailure, match=f"{side} eigenvector fails"):
+            eigenvector_oracle(bad)
+
+
+def test_series_cramer_materialises_no_induced_value(monkeypatch):
+    G, N = family("binary_dihedral", 10), family("cyclic", 10)
+    table(G), table(N)
+    pair = pair_from_groups(G, N)  # a new pair, so nothing is cached for it yet
+    pair.default_v_label = "delta_1"
+    real, calls = cyclotomic.unlift, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cyclotomic, characters, groups):
+        monkeypatch.setattr(module, "unlift", counting)
+    data = fusion_matrices(pair)
+    series_cramer(data, "induction", 1)
+    assert calls == []
+    # reading a member's values materialises them: one unlift per class
+    assert data.ibasis.members[1].values[0] == data.ibasis.degrees[1]
+    assert len(calls) == len(G.classes)
+    data.ibasis.members[1].values
+    assert len(calls) == len(G.classes)
+
+
+def test_fusion_data_hashes_by_identity():
+    data = fusion_matrices(normal_pair("E6^2"))
+    assert hash(data) == object.__hash__(data)
+    assert data == data and data != dataclasses.replace(data)

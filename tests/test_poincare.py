@@ -186,7 +186,8 @@ def brute_force_oracle(data, side, K):
 
 
 @pytest.mark.parametrize(
-    "name,n", [("A2n-1^2", 3), ("Dn+1^2", 3), ("A2n^2", 3), ("E6^2", None), ("D4^3", None), ("S4A4", None)]
+    "name,n",
+    [("A2n-1^2", 3), ("Dn+1^2", 3), ("A2n^2", 3), ("E6^2", None), ("D4^3", None), ("A2^2", None), ("S4A4", None)],
 )
 def test_brute_force_series_matches_the_inner_product_path(name, n):
     data = fusion_matrices(normal_pair(name, n))
