@@ -566,6 +566,7 @@ class Decomposed:
         return sum(map(mul, self.multiplicities, self.table.degrees))
 
 
+@cache
 def restrict(pair: NormalPair, chi: Character | ClassFunction) -> Decomposed:
     """Pull a G-character back along the embedding of N."""
     base = chi.base if isinstance(chi, Character) else chi
@@ -577,6 +578,7 @@ def restrict(pair: NormalPair, chi: Character | ClassFunction) -> Decomposed:
     return Decomposed(f, tbl.decompose(f), tbl)
 
 
+@cache
 def induce(pair: NormalPair, phi: Character | ClassFunction) -> Decomposed:
     """Induce an N-character up to G (zero off the classes meeting N).
 

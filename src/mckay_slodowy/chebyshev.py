@@ -1,7 +1,7 @@
 """Chebyshev polynomials of both kinds with the identities they satisfy, the
 determinant family of the C_n diagrams, binomial closed forms for the
-dihedral-pair invariants series, the exponent/Coxeter-number catalog, and the
-spectral realization of exponents from fusion matrices.
+dihedral-pair invariants series, exponent data read off the `dynkin` catalog,
+and the spectral realization of exponents from fusion matrices.
 """
 from __future__ import annotations
 
@@ -244,120 +244,43 @@ class ExponentData:
         return [2 * math.cos(m * math.pi / self.coxeter) for m in self.exponents]
 
 
-_FINITE_EXPONENTS = {
-    "A": lambda n: (tuple(range(1, n + 1)), n + 1),
-    "B": lambda n: (tuple(range(1, 2 * n, 2)), 2 * n),
-    "C": lambda n: (tuple(range(1, 2 * n, 2)), 2 * n),
-    "D": lambda n: (tuple(sorted(list(range(1, 2 * n - 2, 2)) + [n - 1])), 2 * n - 2),
-    "F": lambda n: ((1, 5, 7, 11), 12),
-    "G": lambda n: ((1, 5), 6),
-    "E": lambda n: {
-        6: ((1, 4, 5, 7, 8, 11), 12),
-        7: ((1, 5, 7, 9, 11, 13, 17), 18),
-        8: ((1, 7, 11, 13, 17, 19, 23, 29), 30),
-    }[n],
-}
+_LABEL = re.compile(r"([A-G])_(\d+)(?:\^\((\d)\))?")
 
 
-# the subscripts (lowest, highest) each row's formula covers; outside them it
-# degenerates (B_1^(1) would give exponents [0, 0], Coxeter number 0)
-_FINITE_RANKS = {"A": (1, math.inf), "B": (1, math.inf), "C": (1, math.inf),
-                 "D": (2, math.inf), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
-_AFFINE_RANKS = {("A", 1): (1, 1), ("B", 1): (2, math.inf), ("C", 1): (1, math.inf),
-                 ("F", 1): (4, 4), ("G", 1): (2, 2), ("A", 2): (2, math.inf),
-                 ("D", 2): (2, math.inf), ("E", 2): (6, 6), ("D", 3): (4, 4)}
-_NO_RANKS = (1, 0)
-
-
-def _affine_exponents(letter: str, sub: int, twist: int) -> tuple[tuple[int, ...], int]:
-    """Exponent multiset and affine Coxeter number, one row per diagram."""
-    low, high = _AFFINE_RANKS.get((letter, twist), _NO_RANKS)
-    if not low <= sub <= high:
-        raise DomainError(f"no exponent data for {letter}_{sub}^({twist})")
-    if twist == 1:
-        if letter == "A" and sub == 1:
-            return (0, 1), 1
-        if letter == "B":
-            if sub % 2 == 1:  # B_{2l+1}
-                l = (sub - 1) // 2
-                return tuple(sorted(list(range(0, 2 * l + 1)) + [l])), 2 * l
-            l = sub // 2  # B_{2l}
-            exps = list(range(0, 2 * l - 1, 2)) + [2 * l - 1] + list(range(2 * l, 4 * l - 1, 2))
-            return tuple(exps), 2 * (2 * l - 1)
-        if letter == "C":
-            return tuple(range(0, sub + 1)), sub
-        if letter == "F":
-            return (0, 2, 3, 4, 6), 6
-        if letter == "G":
-            return (0, 1, 2), 2
-    if twist == 2:
-        if letter == "A":
-            if sub == 2:
-                return (0, 2), 2
-            if sub % 2 == 0:  # A_{2l}^{(2)}
-                l = sub // 2
-                return tuple(range(0, l + 1)), l
-            # A_{2n-1}^{(2)} shares its row with B_n^{(1)}
-            n = (sub + 1) // 2
-            return _affine_exponents("B", n, 1)
-        if letter == "D":  # D_{l+1}^{(2)} shares its row with C_l^{(1)}
-            return _affine_exponents("C", sub - 1, 1)
-        if letter == "E":  # E_6^{(2)}
-            return (0, 2, 3, 4, 6), 6
-    # D_4^{(3)}, the one row left after _AFFINE_RANKS
-    return (0, 1, 2), 2
+def _catalog_entry(type_label: str) -> tuple[ExponentData, dynkin.Family | None]:
+    """The exponent data of a label, with its affine catalog row (None for a
+    finite type)."""
+    label = type_label.strip()
+    m = _LABEL.fullmatch(label)
+    if not m:
+        raise DomainError(f"cannot parse Dynkin label {type_label!r}")
+    letter, sub = m.group(1), int(m.group(2))
+    if m.group(3) is None:
+        (low, high), formula = dynkin.FINITE[letter]
+        if not low <= sub <= high:
+            raise DomainError(f"unknown finite type {label!r}")
+        exps, cox = formula(sub)
+        return ExponentData(label, exps, cox, label, exps, cox), None
+    twist = int(m.group(3))
+    for row in dynkin.FAMILIES:
+        n = row.exponent_rank(sub)
+        if (row.letter, row.twist) == (letter, twist) and n is not None:
+            exps, cox = row.exponents[1](n)
+            fexps, fcox = dynkin.FINITE[row.finite][1](n)
+            return ExponentData(label, exps, cox, f"{row.finite}_{n}", fexps, fcox), row
+    raise DomainError(f"no exponent data for {letter}_{sub}^({twist})")
 
 
 def exponents_catalog(type_label: str) -> ExponentData:
     """Stored exponents and Coxeter numbers, affine (with the finite data of
     the diagram left after deleting the special node) or finite."""
-    label = type_label.strip()
-    m = re.fullmatch(r"([A-G])_(\d+)\^\((\d)\)", label)
-    if m:
-        letter, sub, twist = m.group(1), int(m.group(2)), int(m.group(3))
-        exps, cox = _affine_exponents(letter, sub, twist)
-        finite = dynkin.finite_type_of(label)
-        fl, fs = finite.split("_")
-        fexps, fcox = _FINITE_EXPONENTS[fl](int(fs))
-        return ExponentData(label, exps, cox, finite, fexps, fcox)
-    m = re.fullmatch(r"([A-G])_(\d+)", label)
-    if m:
-        letter, sub = m.group(1), int(m.group(2))
-        low, high = _FINITE_RANKS.get(letter, _NO_RANKS)
-        if not low <= sub <= high:
-            raise DomainError(f"unknown finite type {label!r}")
-        exps, cox = _FINITE_EXPONENTS[letter](sub)
-        return ExponentData(label, exps, cox, label, exps, cox)
-    raise DomainError(f"cannot parse Dynkin label {type_label!r}")
+    return _catalog_entry(type_label)[0]
 
 
 def exponent_duality_holds(data: ExponentData) -> bool:
     exps = sorted(data.exponents)
     n = len(exps)
     return all(exps[i] + exps[n - 1 - i] == data.coxeter for i in range(n))
-
-
-# rows of the exponent table whose cosine convention is unambiguous
-ASSERTED_COS_ROWS = ("B", "C", "D2", "F", "E2", "G", "D3")
-
-
-def _row_key(label: str) -> str:
-    m = re.fullmatch(r"([A-G])_(\d+)\^\((\d)\)", label)
-    if not m:
-        return "?"
-    letter, sub, twist = m.group(1), int(m.group(2)), int(m.group(3))
-    if twist == 1 and letter in ("B", "C", "F", "G"):
-        return letter
-    if twist == 2:
-        if letter == "A" and sub >= 3 and sub % 2 == 1:
-            return "B"  # A_{2n-1}^{(2)} row
-        if letter == "D":
-            return "D2"
-        if letter == "E":
-            return "E2"
-    if twist == 3 and letter == "D":
-        return "D3"
-    return "?"
 
 
 @dataclass(frozen=True)
@@ -393,7 +316,7 @@ def spectrum_exponents_check(pair_or_data: NormalPair | FusionData) -> SpectrumR
     affine_type = graph(data, "restriction").dynkin_type
     if affine_type == "unrecognized":
         raise DomainError(f"{pair.name} does not realize an affine diagram")
-    cat = exponents_catalog(affine_type)
+    cat, row = _catalog_entry(affine_type)
 
     values = data.v_values_on_upsilon()
     if any(v != v.conj() for v in values):
@@ -403,7 +326,7 @@ def spectrum_exponents_check(pair_or_data: NormalPair | FusionData) -> SpectrumR
         raise CheckFailure(f"{pair.name}: char poly {poly} differs from prod (t - chi_V(g))")
     chi_v = sorted(v.to_complex().real for v in values)
     cos_vals = sorted(cat.cos_values())
-    cos_asserted = _row_key(affine_type) in ASSERTED_COS_ROWS
+    cos_asserted = row.asserted
     cos_matches = poly == _cos_poly(cat.exponents, cat.coxeter)
     if cos_asserted and not cos_matches:
         raise CheckFailure(

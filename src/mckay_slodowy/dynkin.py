@@ -1,6 +1,7 @@
-"""Catalog of affine Dynkin diagrams as fusion-style adjacency matrices, and
-identification of a candidate matrix against it up to simultaneous
-row/column permutation.
+"""The catalog of affine Dynkin diagrams, one table row per family: label,
+ranks, edges, finite part and exponents.  Also the finite types' exponents,
+and identification of a candidate matrix against the catalog up to
+simultaneous row/column permutation.
 
 Adjacency convention: A[i][j] is the multiplicity of node i in (V tensor
 node j), so an entry > 1 is drawn as a multi-edge with the arrow pointing
@@ -8,164 +9,171 @@ to i.  The Cartan matrix is 2I - A.
 """
 from __future__ import annotations
 
+import math
+from typing import Callable, NamedTuple
+
 from .errors import DomainError
 
-
-def _empty(k: int) -> list[list[int]]:
-    return [[0] * k for _ in range(k)]
+INF = math.inf
 
 
-def _sym(A, i, j):
-    A[i][j] = A[j][i] = 1
+class Family(NamedTuple):
+    """One row of the affine catalog.  n is the rank: the diagram has n + 1
+    nodes, node 0 the trivial one."""
+
+    kind: str  # the adjacency key
+    letter: str
+    twist: int
+    sub: tuple[int, int]  # (a, b): the label's subscript is a*n + b
+    ranks: tuple[int, float]  # the ranks identify lists it at
+    edges: Callable[[int], list[tuple[int, int, int, int]]]  # (i, j, A[i][j], A[j][i])
+    # (rank range, n -> (exponents, Coxeter number)), or None for no data
+    exponents: tuple[tuple[int, float], Callable] | None = None
+    finite: str | None = None  # letter of the finite part (node 0 deleted), rank n
+    asserted: bool = False  # whether char(A) = prod (t - 2cos(m pi / h)) is asserted
+
+    def label(self, n: int) -> str:
+        a, b = self.sub
+        return f"{self.letter}_{a * n + b}^({self.twist})"
+
+    def exponent_rank(self, sub: int) -> int | None:
+        """The rank n with subscript sub, if it is in the exponent range."""
+        if self.exponents is None:
+            return None
+        (low, high), _ = self.exponents
+        a, b = self.sub
+        n = (sub - b) // a if a else low
+        return n if a * n + b == sub and low <= n <= high else None
+
+
+def _path(start, end):
+    """The edges of a path 0..n whose two ends are each a fork (None: nodes
+    0 and 1 on node 2, or n - 1 and n on node n - 2) or one weighted edge
+    (x, y): A[0][1], A[1][0] = x, y at the start, A[n-1][n], A[n][n-1] = x, y
+    at the end."""
+
+    def edges(n):
+        out = [(i, i + 1, 1, 1) for i in range(1, n - 1)]
+        out.append((0, 2, 1, 1) if start is None else (0, 1, *start))
+        out.append((n - 2, n, 1, 1) if end is None else (n - 1, n, *end))
+        return out
+
+    return edges
+
+
+def _fixed(*edges):
+    """The edges of a one-rank diagram; a pair (i, j) is a simple edge."""
+    out = [e if len(e) == 4 else (*e, 1, 1) for e in edges]
+    return lambda n: out
+
+
+def _b_exponents(n: int) -> tuple[tuple[int, ...], int]:
+    if n % 2:  # B_{2l+1}: 0..2l and l twice
+        return tuple(sorted([*range(n), n // 2])), n - 1
+    # B_{2l}: the evens below 2l - 1, 2l - 1, the evens from 2l to 4l - 2
+    return (*range(0, n - 1, 2), n - 1, *range(n, 2 * n - 1, 2)), 2 * (n - 1)
+
+
+def _c_exponents(n: int) -> tuple[tuple[int, ...], int]:
+    return tuple(range(0, n + 1)), n
+
+
+def _f4_exponents(n: int) -> tuple[tuple[int, ...], int]:
+    return (0, 2, 3, 4, 6), 6
+
+
+def _g2_exponents(n: int) -> tuple[tuple[int, ...], int]:
+    return (0, 1, 2), 2
+
+
+# One row per affine family, in the order identify tries them.  A row starts
+# at the rank where it stops coinciding with an earlier one (B_2^(1) = C_2^(1),
+# A_3^(2) = D_3^(2), C_1^(1) = A_1^(1), ...); its exponent range may start
+# lower, since those labels name the same diagram, but not to where the formula
+# degenerates (B_1^(1) would give exponents (0, 0), Coxeter number 0).
+# A_{2n-1}^(2) shares the exponents of B_n^(1); A_{2n}^(2) and D_{n+1}^(2)
+# share those of C_n^(1).  The 2cos row is asserted where its convention is
+# unambiguous.
+FAMILIES = (
+    Family("A1^1", "A", 1, (1, 0), (1, 1), _fixed((0, 1, 2, 2)),
+           ((1, 1), lambda n: ((0, 1), 1)), "A"),
+    Family("A2^2", "A", 2, (2, 0), (1, 1), _fixed((0, 1, 4, 1)),
+           ((1, 1), lambda n: ((0, 2), 2)), "A"),
+    Family("A^1", "A", 1, (1, 0), (2, INF),
+           lambda n: [(i, (i + 1) % (n + 1), 1, 1) for i in range(n + 1)]),
+    Family("B^1", "B", 1, (1, 0), (3, INF), _path(None, (1, 2)),
+           ((2, INF), _b_exponents), "B", True),
+    Family("C^1", "C", 1, (1, 0), (2, INF), _path((1, 2), (2, 1)),
+           ((1, INF), _c_exponents), "C", True),
+    Family("D^1", "D", 1, (1, 0), (4, INF), _path(None, None)),
+    Family("E6^1", "E", 1, (1, 0), (6, 6), _fixed((0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6))),
+    Family("E7^1", "E", 1, (1, 0), (7, 7),
+           _fixed((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7))),
+    Family("E8^1", "E", 1, (1, 0), (8, 8),
+           _fixed((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8))),
+    Family("A_odd^2", "A", 2, (2, -1), (3, INF), _path(None, (2, 1)),
+           ((2, INF), _b_exponents), "C", True),
+    Family("A_even^2", "A", 2, (2, 0), (2, INF), _path((2, 1), (2, 1)),
+           ((2, INF), _c_exponents), "C"),
+    Family("D^2", "D", 2, (1, 1), (2, INF), _path((2, 1), (1, 2)),
+           ((1, INF), _c_exponents), "B", True),
+    Family("F4^1", "F", 1, (1, 0), (4, 4), _fixed((0, 1), (1, 2), (2, 3, 1, 2), (3, 4)),
+           ((4, 4), _f4_exponents), "F", True),
+    Family("E6^2", "E", 2, (0, 6), (4, 4), _fixed((0, 1), (1, 2), (2, 3, 2, 1), (3, 4)),
+           ((4, 4), _f4_exponents), "F", True),
+    Family("G2^1", "G", 1, (1, 0), (2, 2), _fixed((0, 1), (1, 2, 1, 3)),
+           ((2, 2), _g2_exponents), "G", True),
+    Family("D4^3", "D", 3, (0, 4), (2, 2), _fixed((0, 1), (1, 2, 3, 1)),
+           ((2, 2), _g2_exponents), "G", True),
+)
+_BY_KIND = {row.kind: row for row in FAMILIES}
+
+
+def _bc_exponents(n: int) -> tuple[tuple[int, ...], int]:
+    return tuple(range(1, 2 * n, 2)), 2 * n
+
+
+# The finite types: letter -> (rank range, n -> (exponents, Coxeter number)).
+FINITE = {
+    "A": ((1, INF), lambda n: (tuple(range(1, n + 1)), n + 1)),
+    "B": ((1, INF), _bc_exponents),
+    "C": ((1, INF), _bc_exponents),
+    "D": ((2, INF), lambda n: (tuple(sorted([*range(1, 2 * n - 2, 2), n - 1])), 2 * n - 2)),
+    "E": ((6, 8), lambda n: {
+        6: ((1, 4, 5, 7, 8, 11), 12),
+        7: ((1, 5, 7, 9, 11, 13, 17), 18),
+        8: ((1, 7, 11, 13, 17, 19, 23, 29), 30),
+    }[n]),
+    "F": ((4, 4), lambda n: ((1, 5, 7, 11), 12)),
+    "G": ((2, 2), lambda n: ((1, 5), 6)),
+}
 
 
 def adjacency(label_kind: str, rank: int = 0) -> list[list[int]]:
-    """Adjacency matrix of an affine diagram by kind; rank is the subscript."""
-    k = label_kind
-    if k == "A1^1":
-        return [[0, 2], [2, 0]]
-    if k == "A^1":  # cycle, rank >= 2
-        n = rank
-        A = _empty(n + 1)
-        for i in range(n + 1):
-            _sym(A, i, (i + 1) % (n + 1))
-        return A
-    if k == "B^1":  # rank >= 3
-        n = rank
-        A = _empty(n + 1)
-        _sym(A, 0, 2)
-        _sym(A, 1, 2)
-        for i in range(2, n - 1):
-            _sym(A, i, i + 1)
-        A[n][n - 1] = 2
-        A[n - 1][n] = 1
-        return A
-    if k == "C^1":  # rank >= 2
-        n = rank
-        A = _empty(n + 1)
-        A[1][0] = 2
-        A[0][1] = 1
-        for i in range(1, n - 1):
-            _sym(A, i, i + 1)
-        A[n - 1][n] = 2
-        A[n][n - 1] = 1
-        return A
-    if k == "D^1":  # rank >= 4
-        n = rank
-        A = _empty(n + 1)
-        _sym(A, 0, 2)
-        _sym(A, 1, 2)
-        for i in range(2, n - 2):
-            _sym(A, i, i + 1)
-        _sym(A, n - 1, n - 2)
-        _sym(A, n, n - 2)
-        return A
-    if k in ("E6^1", "E7^1", "E8^1"):
-        edges = {
-            "E6^1": [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)],
-            "E7^1": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)],
-            "E8^1": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)],
-        }[k]
-        A = _empty(len(edges) + 1)
-        for i, j in edges:
-            _sym(A, i, j)
-        return A
-    if k == "A2^2":
-        return [[0, 4], [1, 0]]
-    if k == "A_odd^2":  # A_{2n-1}^{(2)}, n >= 3: n+1 nodes
-        n = rank  # rank = n here
-        A = _empty(n + 1)
-        _sym(A, 0, 2)
-        _sym(A, 1, 2)
-        for i in range(2, n - 1):
-            _sym(A, i, i + 1)
-        A[n - 1][n] = 2
-        A[n][n - 1] = 1
-        return A
-    if k == "A_even^2":  # A_{2n}^{(2)}, n >= 2: n+1 nodes
-        n = rank
-        A = _empty(n + 1)
-        A[0][1] = 2
-        A[1][0] = 1
-        for i in range(1, n - 1):
-            _sym(A, i, i + 1)
-        A[n - 1][n] = 2
-        A[n][n - 1] = 1
-        return A
-    if k == "D^2":  # D_{n+1}^{(2)}: n+1 nodes (rank = n)
-        n = rank
-        A = _empty(n + 1)
-        A[0][1] = 2
-        A[1][0] = 1
-        for i in range(1, n - 1):
-            _sym(A, i, i + 1)
-        A[n][n - 1] = 2
-        A[n - 1][n] = 1
-        return A
-    if k == "E6^2":
-        A = _empty(5)
-        _sym(A, 0, 1)
-        _sym(A, 1, 2)
-        A[2][3] = 2
-        A[3][2] = 1
-        _sym(A, 3, 4)
-        return A
-    if k == "F4^1":
-        A = _empty(5)
-        _sym(A, 0, 1)
-        _sym(A, 1, 2)
-        A[3][2] = 2
-        A[2][3] = 1
-        _sym(A, 3, 4)
-        return A
-    if k == "D4^3":
-        A = _empty(3)
-        _sym(A, 0, 1)
-        A[1][2] = 3
-        A[2][1] = 1
-        return A
-    if k == "G2^1":
-        A = _empty(3)
-        _sym(A, 0, 1)
-        A[2][1] = 3
-        A[1][2] = 1
-        return A
-    raise DomainError(f"unknown diagram kind {label_kind!r}")
+    """Adjacency matrix of an affine diagram by kind (a FAMILIES key) and
+    rank n, the node count less one; a one-rank kind ignores the rank."""
+    row = _BY_KIND.get(label_kind)
+    if row is None:
+        raise DomainError(f"unknown diagram kind {label_kind!r}")
+    low, high = row.ranks
+    if low == high:
+        rank = low
+    elif rank < low:
+        raise DomainError(f"{label_kind} needs rank >= {low}")
+    A = [[0] * (rank + 1) for _ in range(rank + 1)]
+    for i, j, x, y in row.edges(rank):
+        A[i][j], A[j][i] = x, y
+    return A
 
 
 def catalog_for_size(size: int) -> list[tuple[str, list[list[int]]]]:
     """All catalog entries with the given node count, as (label, adjacency)."""
-    out: list[tuple[str, list[list[int]]]] = []
-    if size == 2:
-        out.append(("A_1^(1)", adjacency("A1^1")))
-        out.append(("A_2^(2)", adjacency("A2^2")))
-        return out
     n = size - 1
-    out.append((f"A_{n}^(1)", adjacency("A^1", n)))
-    if n >= 3:
-        out.append((f"B_{n}^(1)", adjacency("B^1", n)))
-    if n >= 2:
-        out.append((f"C_{n}^(1)", adjacency("C^1", n)))
-    if n >= 4:
-        out.append((f"D_{n}^(1)", adjacency("D^1", n)))
-    if size == 7:
-        out.append(("E_6^(1)", adjacency("E6^1")))
-    if size == 8:
-        out.append(("E_7^(1)", adjacency("E7^1")))
-    if size == 9:
-        out.append(("E_8^(1)", adjacency("E8^1")))
-    if n >= 3:
-        out.append((f"A_{2 * n - 1}^(2)", adjacency("A_odd^2", n)))
-    if n >= 2:
-        out.append((f"A_{2 * n}^(2)", adjacency("A_even^2", n)))
-        out.append((f"D_{n + 1}^(2)", adjacency("D^2", n)))
-    if size == 5:
-        out.append(("F_4^(1)", adjacency("F4^1")))
-        out.append(("E_6^(2)", adjacency("E6^2")))
-    if size == 3:
-        out.append(("G_2^(1)", adjacency("G2^1")))
-        out.append(("D_4^(3)", adjacency("D4^3")))
-    return out
+    return [
+        (row.label(n), adjacency(row.kind, n))
+        for row in FAMILIES
+        if row.ranks[0] <= n <= row.ranks[1]
+    ]
 
 
 def _isomorphic(A: list[list[int]], B: list[list[int]]) -> bool:
@@ -216,39 +224,3 @@ def identify(A: list[list[int]]) -> str:
         if _isomorphic(A, cand):
             return label
     return "unrecognized"
-
-
-def finite_type_of(affine_label: str) -> str:
-    """Finite diagram left after deleting the trivial-module node."""
-    mapping_exact = {
-        "A_1^(1)": "A_1",
-        "A_2^(2)": "A_1",
-        "F_4^(1)": "F_4",
-        "E_6^(2)": "F_4",
-        "G_2^(1)": "G_2",
-        "D_4^(3)": "G_2",
-    }
-    if affine_label in mapping_exact:
-        return mapping_exact[affine_label]
-    import re
-
-    m = re.fullmatch(r"([A-G])_(\d+)\^\((\d)\)", affine_label)
-    if not m:
-        raise DomainError(f"cannot map {affine_label!r} to a finite type")
-    letter, sub, twist = m.group(1), int(m.group(2)), int(m.group(3))
-    if twist == 1:
-        if letter == "A":
-            return f"A_{sub}"
-        if letter == "B":
-            return f"B_{sub}"
-        if letter == "C":
-            return f"C_{sub}"
-        if letter == "D":
-            return f"D_{sub}"
-        return f"{letter}_{sub}"
-    if twist == 2:
-        if letter == "A":  # A_{2n-1}^{(2)} -> C_n, A_{2n}^{(2)} -> C_n
-            return f"C_{(sub + 1) // 2}"
-        if letter == "D":  # D_{n+1}^{(2)} -> B_n
-            return f"B_{sub - 1}"
-    raise DomainError(f"cannot map {affine_label!r} to a finite type")

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from .characters import frobenius_check, induce, restrict, table, table_numeric, verify_table
 from .chebyshev import closed_form_check, spectrum_exponents_check
+from .dynkin import FAMILIES
 from .errors import CheckFailure, DomainError
 from .groups import PAIR_N_MIN, PAIR_NAMES, NormalPair, normal_pair
 from .mckay import (
@@ -502,12 +503,13 @@ def verify_all(n_max: int = 8, k_max: int = 12) -> list[CheckResult]:
     )
 
     def duality():
-        labels = ["A_1^(1)", "A_2^(2)", "G_2^(1)", "D_4^(3)", "F_4^(1)", "E_6^(2)"]
-        labels += [f"C_{l}^(1)" for l in range(2, 9)]
-        labels += [f"D_{l + 1}^(2)" for l in range(2, 9)]
-        labels += [f"B_{l}^(1)" for l in range(3, 9)]
-        labels += [f"A_{2 * l}^(2)" for l in range(2, 9)]
-        labels += [f"A_{2 * l - 1}^(2)" for l in range(3, 9)]
+        # every catalog label with exponent data, up to rank 8
+        labels = [
+            row.label(n)
+            for row in FAMILIES
+            if row.exponents
+            for n in range(row.ranks[0], min(row.ranks[1], 8) + 1)
+        ]
         for lbl in labels:
             if not exponent_duality_holds(exponents_catalog(lbl)):
                 raise CheckFailure(f"exponent duality fails for {lbl}")

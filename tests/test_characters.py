@@ -406,6 +406,20 @@ def frobenius_oracle(pair):
     return out
 
 
+def test_induce_and_restrict_are_memoised(monkeypatch):
+    from mckay_slodowy.groups import pair_from_groups
+
+    pair = pair_from_groups(family("binary_octahedral"), family("binary_tetrahedral"))
+    first = frobenius_check(pair)
+    calls = []
+    decompose = CharacterTable.decompose
+    monkeypatch.setattr(
+        CharacterTable, "decompose", lambda tbl, f: calls.append(f) or decompose(tbl, f)
+    )
+    assert frobenius_check(pair) == first
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "name,n",
     [("A2n-1^2", 3), ("Dn+1^2", 3), ("A2n^2", 3), ("E6^2", None), ("D4^3", None), ("A2^2", None), ("S4A4", None)],

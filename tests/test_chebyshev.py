@@ -1,10 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from mckay_slodowy.chebyshev import (
+    _cos_poly,
     chebyshev,
     chebyshev_additive,
     chebyshev_identities_check,
@@ -15,9 +17,10 @@ from mckay_slodowy.chebyshev import (
     exponents_catalog,
     spectrum_exponents_check,
 )
+from mckay_slodowy.dynkin import catalog_for_size
 from mckay_slodowy.errors import DomainError
 from mckay_slodowy.groups import normal_pair
-from mckay_slodowy.polynomials import IntPoly
+from mckay_slodowy.polynomials import IntPoly, char_poly
 
 
 def test_base_cases():
@@ -202,6 +205,25 @@ def test_exponent_duality_all_rows():
         else:
             nodes = {"E_6^(2)": 5, "D_4^(3)": 3}[lbl]
         assert len(data.exponents) == nodes, lbl
+
+
+def test_the_catalog_table_checks_itself():
+    # every catalog label up to 13 nodes, also ranks no pair realises: the
+    # exponent row is the spectrum of the diagram, and the finite row that of
+    # the diagram with node 0 deleted
+    with_data = 0
+    for size in range(2, 14):
+        for label, A in catalog_for_size(size):
+            try:
+                data = exponents_catalog(label)
+            except DomainError:
+                assert re.fullmatch(r"A_([2-9]|\d\d+)\^\(1\)|D_\d+\^\(1\)|E_[678]\^\(1\)", label), label
+                continue
+            with_data += 1
+            assert char_poly(A) == _cos_poly(data.exponents, data.coxeter), label
+            finite = [row[1:] for row in A[1:]]
+            assert char_poly(finite) == _cos_poly(data.finite_exponents, data.finite_coxeter), label
+    assert with_data == 59
 
 
 PAIR_CASES = (

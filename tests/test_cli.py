@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,9 +9,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mckay_slodowy
 from mckay_slodowy.cli import run
+from mckay_slodowy.groups import FAMILY_NAMES, PAIR_NAMES
 
 
 def _capture(capsys, argv):
@@ -365,3 +370,66 @@ def test_verify_reports_value_errors_as_a_named_failure():
     result = _wrap("a check", overflow)
     assert not result.ok
     assert result.detail == "ValueError: Exceeds the limit (4300 digits)"
+
+
+# -- argv fuzz: every input gets a defined exit code ---------------------------
+
+
+def _word(names):
+    """One positional from names, a junk word, or none."""
+    return st.sampled_from([[name] for name in names] + [["bogus"], []])
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _ints(low, high):
+    return st.sampled_from([*map(str, range(low, high + 1)), "", "x", "1.5", "-"])
+
+
+def _argv(*parts):
+    return st.tuples(*(p if isinstance(p, st.SearchStrategy) else st.just(p) for p in parts)).map(
+        lambda ps: [a for p in ps for a in p]
+    )
+
+
+_N = _option("--n", _ints(-3, 6))
+_SIDE = _option("--side", st.sampled_from(["res", "ind", "up"]))
+_VERTEX = _option("--vertex", _ints(-2, 8))
+_TERMS = _option("--terms", _ints(-1, 40))
+# above 60 only the first degree out of range: U_2000 alone takes about a second
+_DEGREE = st.one_of(_ints(-1, 60), st.just("2001"))
+_LABEL = st.one_of(
+    st.from_regex(r"[A-G]_[0-9]{1,2}(\^\([0-4]\))?", fullmatch=True),
+    st.from_regex(r"[A-HZa]?_?-?[0-9]{0,3}(\^\(-?[0-9]{0,2}\)?)?", fullmatch=True),
+    st.text(max_size=8),
+)
+ARGV = st.one_of(
+    _argv(["group"], _word(FAMILY_NAMES), _N, _flag("--json")),
+    _argv(["chartable"], _word(FAMILY_NAMES), _N, _flag("--numeric"), _flag("--json"), _flag("--unicode")),
+    _argv(["pair"], _word(PAIR_NAMES), _word(("show", "poincare")), _N, _SIDE, _VERTEX, _TERMS,
+          _flag("--closed-form"), _flag("--dot"), _flag("--json"), _flag("--unicode")),
+    _argv(["poincare"], _option("--pair", st.sampled_from([*PAIR_NAMES, "bogus"])), _N, _SIDE,
+          _VERTEX, _TERMS, _flag("--closed-form"), _flag("--json")),
+    _argv(["chebyshev"], _word(("T", "U")), _DEGREE.map(lambda d: [d]), _flag("--json")),
+    _argv(["exponents"], _option("--type", _LABEL), _flag("--json")),
+    _argv(["verify", "--pair"], _word(PAIR_NAMES), _N, _option("--k-max", _ints(-1, 21)), _flag("--json")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=ARGV)
+def test_argv_fuzz_exits_with_a_defined_code(argv):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MSC_MAX_GROUP_ORDER", "200")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 64), argv

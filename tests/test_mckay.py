@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mckay_slodowy.dynkin import adjacency, catalog_for_size, identify, _isomorphic
-from mckay_slodowy.errors import CheckFailure
+from mckay_slodowy.errors import CheckFailure, DomainError
 from mckay_slodowy.groups import family, normal_pair, pair_from_groups
 from mckay_slodowy.mckay import (
     characteristic_identity_check,
@@ -170,6 +170,21 @@ def test_catalog_entries_pairwise_distinct():
                     entries[i][0],
                     entries[j][0],
                 )
+
+
+def test_catalog_has_no_diagram_below_two_nodes():
+    # each row starts at its first rank: no A_0^(1) self-loop, no A_-1^(1)
+    assert catalog_for_size(1) == []
+    assert catalog_for_size(0) == []
+    assert identify([]) == "unrecognized"
+
+
+def test_adjacency_rejects_a_rank_below_its_row():
+    with pytest.raises(DomainError):
+        adjacency("A^1", 1)
+    with pytest.raises(DomainError):
+        adjacency("Z^9")
+    assert adjacency("G2^1", 7) == adjacency("G2^1") == [[0, 1, 0], [1, 0, 1], [0, 3, 0]]
 
 
 def test_identify_is_permutation_invariant():
