@@ -9,7 +9,6 @@ to the Dixon-Schneider computation, which is exact as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
 from operator import mul
@@ -22,7 +21,6 @@ from .cyclotomic import (
     root_sum,
     sqrt2,
     unlift,
-    weighted_dot,
 )
 from .errors import CheckFailure, DomainError
 from .groups import FiniteGroup, NormalPair
@@ -224,10 +222,25 @@ class CharacterTable:
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
-    """(1/|G|) sum over classes of size * a(g) * conj(b(g))."""
+    """(1/|G|) sum over classes of size * a(g) * conj(b(g)).
+
+    Summed on the two lifted forms as _pairings does: size * u * w lands at
+    x^(i - j) in Z[x]/(x^m - 1), m the lcm of the two conductors, and the
+    sum is reduced modulo Phi_m once, over |G| * D_a * D_b."""
     if a.group is not b.group:
         raise DomainError("class functions live on different groups")
-    return Fraction(1, a.group.order) * weighted_dot(a.group.class_sizes(), a.values, b.values)
+    ma, da, ca = a.lifted()
+    mb, db, cb = b.lifted()
+    m = lcm(ma, mb)
+    sa, sb = m // ma, m // mb
+    acc = [0] * m
+    for size, ta, tb in zip(a.group.class_sizes(), ca, cb):
+        for i, u in ta:
+            i *= sa
+            u *= size
+            for j, w in tb:
+                acc[(i - j * sb) % m] += u * w
+    return unlift(m, a.group.order * da * db, reduce_mod_phi(m, acc))
 
 
 # -- the lifted dual: every pairing <f, chi_i> in one pass ---------------------

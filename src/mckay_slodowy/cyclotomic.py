@@ -374,9 +374,10 @@ class Cyclotomic:
         return self.conductor == o.conductor and self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a rational value equals its Fraction, so it hashes as one
         h = self._hash
         if h is None:
-            h = hash((self.conductor, self.coeffs))
+            h = hash(self.coeffs[0] if self.conductor == 1 else (self.conductor, self.coeffs))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -421,10 +422,8 @@ class Cyclotomic:
         if not (text.startswith("cyc(") and text.endswith("]")):
             raise ValueError(f"bad cyclotomic literal: {text!r}")
         head, _, body = text.partition(")[")
-        n = int(head[4:])
         coeffs = [Fraction(part.strip()) for part in body[:-1].split(",") if part.strip()]
-        coeffs += [Fraction(0)] * (euler_phi(n) - len(coeffs))
-        return cls._raw(n, reduce_mod_phi(n, coeffs))
+        return cls._parsed(int(head[4:]), coeffs)
 
     def to_json(self) -> dict:
         return {"conductor": self.conductor, "coeffs": [str(c) for c in self.coeffs]}
@@ -433,8 +432,13 @@ class Cyclotomic:
     def from_json(cls, data: dict | str) -> "Cyclotomic":
         if isinstance(data, str):
             data = json.loads(data)
-        n = int(data["conductor"])
-        coeffs = [Fraction(c) for c in data["coeffs"]]
+        return cls._parsed(int(data["conductor"]), [Fraction(c) for c in data["coeffs"]])
+
+    @classmethod
+    def _parsed(cls, n: int, coeffs: list[Fraction]) -> "Cyclotomic":
+        """The value sum_j coeffs[j] * zeta_n^j of a parsed literal."""
+        if n < 1:
+            raise ValueError("conductor must be a positive integer")
         coeffs += [Fraction(0)] * (euler_phi(n) - len(coeffs))
         return cls._raw(n, reduce_mod_phi(n, coeffs))
 
@@ -446,51 +450,6 @@ class Cyclotomic:
 
 def _integral(c: Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
-
-
-def weighted_dot(weights, xs, ys) -> Cyclotomic:
-    """sum_i weights[i] * xs[i] * conj(ys[i]) for rational weights and
-    cyclotomic values, in one pass.
-
-    Every value is embedded into Z[x]/(x^m - 1), m the lcm of the conductors,
-    where zeta_n^j is x^(j*m/n) and conjugation is x^k -> x^-k; the values'
-    own `terms` are read, not rebuilt.  Coefficients accumulate as integers
-    (Fractions only where a coefficient is not integral); the sum is reduced
-    modulo Phi_m and canonicalised once, or not at all when it is rational.
-    """
-    terms = []
-    m = 1
-    for w, x, y in zip(weights, xs, ys):
-        if w:
-            x = x if type(x) is Cyclotomic else Cyclotomic(x)
-            y = y if type(y) is Cyclotomic else Cyclotomic(y)
-            xt, yt = x.terms(), y.terms()
-            if xt and yt:
-                terms.append((w if type(w) is int else _integral(w), x.conductor, xt, y.conductor, yt))
-                m = lcm(m, x.conductor, y.conductor)
-    acc = [0] * m
-    for w, nx, xt, ny, yt in terms:
-        sx, sy = m // nx, m // ny
-        yt = [(b * sy, v) for b, v in yt]
-        for a, u in xt:
-            a *= sx
-            u *= w
-            for b, v in yt:
-                acc[(a - b) % m] += u * v
-    return root_sum(m, acc)
-
-
-def linear_combination(weights, xs) -> Cyclotomic:
-    """sum_i weights[i] * xs[i] for rational weights and cyclotomic values,
-    accumulated in Z[x]/(x^m - 1) as weighted_dot does and canonicalised once."""
-    pairs = [(w, x) for w, x in zip(weights, xs) if w and x]
-    m = lcm(1, *(x.conductor for _, x in pairs))
-    acc = [0] * m
-    for w, x in pairs:
-        step = m // x.conductor
-        for j, c in x.terms():
-            acc[j * step] += w * c
-    return root_sum(m, acc)
 
 
 # -- the lifted form: values of Q(zeta_m) on one integer denominator ---------

@@ -6,119 +6,108 @@ in the affine catalog, null vectors and eigenvector structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from math import lcm
 from operator import mul
+from typing import ClassVar
 
 from . import dynkin
 from .characters import Character, ClassFunction, induce, restrict, table
 from .cyclotomic import Cyclotomic, reduce_mod_phi, root_sum
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
-from .linalg import nullspace, rank, solve_exact
+from .linalg import rank, solve_exact
 
 
 @dataclass(frozen=True)
-class RestrictionBasis:
-    """Distinct restrictions of the irreducible G-characters, trivial first."""
+class Basis:
+    """The distinct restrictions (or inductions) of the irreducibles of one
+    group of a pair: class functions on the other group, with their
+    multiplicity vectors there and the indices of the irreducibles giving
+    each member."""
 
     pair: NormalPair
     members: tuple[ClassFunction, ...]
-    mult_vectors: tuple[tuple[int, ...], ...]  # N-irreducible multiplicities
-    origins: tuple[tuple[int, ...], ...]  # G-irreducible indices restricting to each
+    mult_vectors: tuple[tuple[int, ...], ...]  # multiplicities over the members' group
+    origins: tuple[tuple[int, ...], ...]  # irreducible indices giving each member
     labels: tuple[str, ...]
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(m.values[0].to_integer() for m in self.members)
-
-    def index_of_origin(self, g_label: str) -> int:
-        gt = table(self.pair.G)
-        gi = gt.labels.index(g_label)
-        for i, orig in enumerate(self.origins):
-            if gi in orig:
-                return i
-        raise DomainError(f"{g_label} does not restrict to a basis member")
-
-
-@dataclass(frozen=True)
-class InductionBasis:
-    """Distinct inductions of the irreducible N-characters, ordered by the
-    correspondence with the restriction basis (trivial-origin first)."""
-
-    pair: NormalPair
-    members: tuple[ClassFunction, ...]
-    mult_vectors: tuple[tuple[int, ...], ...]  # G-irreducible multiplicities
-    origins: tuple[tuple[int, ...], ...]  # N-irreducible indices inducing to each
-    labels: tuple[str, ...]
+    verb: ClassVar[str]  # "restrict" or "induce"
+    origin_group: ClassVar[str]  # the pair's attribute naming the origins' group
 
     @property
     def degrees(self) -> tuple[int, ...]:
         # sum_i m_i chi_i(1): the members stay lifted
-        degs = table(self.pair.G).degrees
+        degs = table(self.members[0].group).degrees
         return tuple(sum(map(mul, mv, degs)) for mv in self.mult_vectors)
 
-    def index_of_origin(self, n_label: str) -> int:
-        nt = table(self.pair.N)
-        ni = nt.labels.index(n_label)
+    def index_of_origin(self, label: str) -> int:
+        oi = table(getattr(self.pair, self.origin_group)).labels.index(label)
         for i, orig in enumerate(self.origins):
-            if ni in orig:
+            if oi in orig:
                 return i
-        raise DomainError(f"{n_label} does not induce to a basis member")
+        raise DomainError(f"{label} does not {self.verb} to a basis member")
+
+
+class RestrictionBasis(Basis):
+    """Distinct restrictions of the irreducible G-characters, trivial first."""
+
+    verb = "restrict"
+    origin_group = "G"
+
+
+class InductionBasis(Basis):
+    """Distinct inductions of the irreducible N-characters, ordered by the
+    correspondence with the restriction basis (trivial-origin first)."""
+
+    verb = "induce"
+    origin_group = "N"
+
+
+def _distinct(pair: NormalPair, decs, what: str):
+    """The distinct decomposed functions in order of first appearance, with
+    the indices of the functions equal to each.  The irreducibles are a
+    basis, so equal multiplicities mean equal functions."""
+    first: dict[tuple[int, ...], int] = {}
+    members, origins = [], []
+    for i, dec in enumerate(decs):
+        j = first.setdefault(dec.multiplicities, len(members))
+        if j == len(members):
+            members.append(dec)
+            origins.append([i])
+        else:
+            origins[j].append(i)
+    if len(members) != len(pair.upsilonN):
+        raise CheckFailure(
+            f"{len(members)} distinct {what} but |Upsilon(N)| = {len(pair.upsilonN)}"
+        )
+    return members, origins
+
+
+def _basis(cls, pair, members, origins, prefix, tbl) -> Basis:
+    return cls(
+        pair,
+        tuple(dec.function for dec in members),
+        tuple(dec.multiplicities for dec in members),
+        tuple(map(tuple, origins)),
+        tuple(f"{prefix}({tbl.labels[o[0]]})" for o in origins),
+    )
 
 
 @cache
 def restriction_basis(pair: NormalPair) -> RestrictionBasis:
     gt = table(pair.G)
-    members: list[ClassFunction] = []
-    mults: list[tuple[int, ...]] = []
-    origins: list[list[int]] = []
-    for gi, rho in enumerate(gt):
-        dec = restrict(pair, rho)
-        if dec.function in members:
-            origins[members.index(dec.function)].append(gi)
-        else:
-            members.append(dec.function)
-            mults.append(dec.multiplicities)
-            origins.append([gi])
-    expected = len(pair.upsilonN)
-    if len(members) != expected:
-        raise CheckFailure(
-            f"{len(members)} distinct restrictions but |Upsilon(N)| = {expected}"
-        )
-    matrix = [[Fraction(x) for x in row] for row in mults]
-    if rank(matrix) != len(members):
+    members, origins = _distinct(pair, [restrict(pair, rho) for rho in gt], "restrictions")
+    if rank([dec.multiplicities for dec in members]) != len(members):
         raise CheckFailure("restriction members are linearly dependent")
-    return RestrictionBasis(
-        pair,
-        tuple(members),
-        tuple(mults),
-        tuple(tuple(o) for o in origins),
-        tuple("check(" + gt.labels[o[0]] + ")" for o in origins),
-    )
+    return _basis(RestrictionBasis, pair, members, origins, "check", gt)
 
 
 @cache
 def induction_basis(pair: NormalPair) -> InductionBasis:
     nt = table(pair.N)
     rbasis = restriction_basis(pair)
-    members: list[ClassFunction] = []
-    mults: list[tuple[int, ...]] = []
-    origins: list[list[int]] = []
-    for ni, phi in enumerate(nt):
-        dec = induce(pair, phi)
-        # the irreducibles are a basis, so equal multiplicities mean equal functions
-        if dec.multiplicities in mults:
-            origins[mults.index(dec.multiplicities)].append(ni)
-        else:
-            members.append(dec.function)
-            mults.append(dec.multiplicities)
-            origins.append([ni])
-    if len(members) != len(pair.upsilonN):
-        raise CheckFailure(
-            f"{len(members)} distinct inductions but |Upsilon(N)| = {len(pair.upsilonN)}"
-        )
+    members, origins = _distinct(pair, [induce(pair, phi) for phi in nt], "inductions")
     # order by the bijection f(check rho_i) = hat phi_k for any constituent
     # phi_k of check rho_i; all constituents must induce to one member
     order: list[int] = []
@@ -136,12 +125,8 @@ def induction_basis(pair: NormalPair) -> InductionBasis:
         order.append(targets.pop())
     if sorted(order) != list(range(len(members))):
         raise CheckFailure("induction/restriction correspondence is not a bijection")
-    return InductionBasis(
-        pair,
-        tuple(members[i] for i in order),
-        tuple(mults[i] for i in order),
-        tuple(tuple(origins[i]) for i in order),
-        tuple("hat(" + nt.labels[origins[i][0]] + ")" for i in order),
+    return _basis(
+        InductionBasis, pair, [members[i] for i in order], [origins[i] for i in order], "hat", nt
     )
 
 
@@ -199,10 +184,7 @@ def _cartan(A) -> tuple[tuple[int, ...], ...]:
 
 def _solve_in_basis(vectors, target) -> tuple[int, ...]:
     """Write target as an integer combination of the (independent) vectors."""
-    k = len(vectors)
-    m = len(target)
-    rows = [[Fraction(vectors[j][i]) for j in range(k)] for i in range(m)]
-    sol = solve_exact(rows, [Fraction(x) for x in target])
+    sol = solve_exact(list(zip(*vectors)), target)
     out = []
     for c in sol:
         if c.denominator != 1 or c < 0:
@@ -234,20 +216,16 @@ def fusion_matrices(pair: NormalPair, V: Character | None = None) -> FusionData:
 def _fusion_matrices(pair: NormalPair, V: Character) -> FusionData:
     rbasis = restriction_basis(pair)
     ibasis = induction_basis(pair)
-    nt, gt = table(pair.N), table(pair.G)
-    v_res = restrict(pair, V).function
-
-    k = len(rbasis.members)
-    A_cols = []
-    for j in range(k):
-        product = v_res * rbasis.members[j]
-        A_cols.append(_solve_in_basis(rbasis.mult_vectors, nt.decompose(product)))
-    B_cols = []
-    for j in range(k):
-        product = V.base * ibasis.members[j]
-        B_cols.append(_solve_in_basis(ibasis.mult_vectors, gt.decompose(product)))
-    A = tuple(tuple(A_cols[j][i] for j in range(k)) for i in range(k))
-    B = tuple(tuple(B_cols[j][i] for j in range(k)) for i in range(k))
+    sides = (
+        (rbasis, restrict(pair, V).function, table(pair.N)),
+        (ibasis, V.base, table(pair.G)),
+    )
+    mats = []
+    for basis, v, tbl in sides:
+        # column j: V tensor member j, written in the basis
+        cols = [_solve_in_basis(basis.mult_vectors, tbl.decompose(v * f)) for f in basis.members]
+        mats.append(tuple(zip(*cols)))
+    A, B = mats
     return FusionData(pair, V, A, B, rbasis, ibasis)
 
 
@@ -346,10 +324,7 @@ def null_vector_check(data: FusionData) -> NullVectorReport:
             g = gcd(g, x)
         if g != 1:
             raise CheckFailure(f"{nm} = {v} is not a coprime integer vector")
-    dims = []
-    for C in (CA, CB):
-        ker = nullspace([[Fraction(x) for x in row] for row in C])
-        dims.append(len(ker))
+    dims = [data.size - rank(C) for C in (CA, CB)]
     if dims != [1, 1]:
         raise CheckFailure(f"Cartan kernels have dimensions {dims}, expected 1 and 1")
 

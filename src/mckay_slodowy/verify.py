@@ -313,26 +313,13 @@ def run_identity_fixtures(pair: NormalPair, family_name: str, n: int | None) -> 
                 got = restrict(pair, gt[source]).as_label_dict()
             elif kind == "induce":
                 got = induce(pair, nt[source]).as_label_dict()
-            elif kind == "fuse_res":
-                j = data.rbasis.index_of_origin(source)
-                got = {
-                    data.rbasis.labels[i].removeprefix("check(").removesuffix(")"): data.A[i][j]
-                    for i in range(data.size)
-                    if data.A[i][j]
-                }
-                expected = {
-                    _origin_member_label(data.rbasis, gt, lbl): m for lbl, m in expected.items()
-                }
-            elif kind == "fuse_ind":
-                j = data.ibasis.index_of_origin(source)
-                got = {
-                    data.ibasis.labels[i].removeprefix("hat(").removesuffix(")"): data.B[i][j]
-                    for i in range(data.size)
-                    if data.B[i][j]
-                }
-                expected = {
-                    _origin_member_label(data.ibasis, nt, lbl): m for lbl, m in expected.items()
-                }
+            elif kind in ("fuse_res", "fuse_ind"):
+                basis, M = (data.rbasis, data.A) if kind == "fuse_res" else (data.ibasis, data.B)
+                # a member by the origin in its label: "check(rho)" -> "rho"
+                origin = [lbl.partition("(")[2][:-1] for lbl in basis.labels]
+                j = basis.index_of_origin(source)
+                got = {origin[i]: M[i][j] for i in range(data.size) if M[i][j]}
+                expected = {origin[basis.index_of_origin(lbl)]: m for lbl, m in expected.items()}
             else:
                 raise DomainError(kind)
             if got != expected:
@@ -343,16 +330,6 @@ def run_identity_fixtures(pair: NormalPair, family_name: str, n: int | None) -> 
     if failures:
         return CheckResult(name, False, "; ".join(failures))
     return CheckResult(name, True)
-
-
-def _origin_member_label(basis, tbl, label: str) -> str:
-    """Map an irreducible label to the canonical label of its basis member."""
-    idx = tbl.labels.index(label)
-    for i, origins in enumerate(basis.origins):
-        if idx in origins:
-            lbl = basis.labels[i]
-            return lbl.removeprefix("check(").removeprefix("hat(").removesuffix(")")
-    raise KeyError(label)
 
 
 def _wrap(name: str, fn) -> CheckResult:

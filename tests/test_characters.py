@@ -17,9 +17,10 @@ from mckay_slodowy.characters import (
     table_numeric,
     verify_table,
 )
-from mckay_slodowy.cyclotomic import Cyclotomic, root_of_unity, sqrt2, weighted_dot
+from mckay_slodowy.cyclotomic import Cyclotomic, root_of_unity, sqrt2
 from mckay_slodowy.errors import CheckFailure, DomainError
 from mckay_slodowy.groups import family, generate, normal_pair, Permutation
+from oracles import weighted_dot
 
 W = root_of_unity(3)
 W2 = root_of_unity(3, 2)
@@ -159,6 +160,43 @@ def test_inner_product_examples():
     assert inner_product(sq, t4["rho_1"].base) == 1
 
 
+@st.composite
+def class_values(draw, k):
+    """k values of mixed conductor, with often non-integral coefficients."""
+    values = []
+    for _ in range(k):
+        n = draw(st.sampled_from([1, 3, 4, 5, 8, 12]))
+        v = Cyclotomic(0)
+        for _ in range(draw(st.integers(0, 3))):
+            c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+            v = v + c * root_of_unity(n, draw(st.integers(0, n - 1)))
+        values.append(v)
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([("E6^2", None), ("S4A4", None), ("A2n-1^2", 3), ("Dn+1^2", 2), ("A2^2", None)]),
+    st.booleans(),
+    st.data(),
+)
+def test_lifted_inner_product_matches_the_value_oracle(pair_args, born_lifted, data):
+    pair = normal_pair(*pair_args)
+    G = pair.G
+    k = len(G.classes)
+    a = ClassFunction(G, data.draw(class_values(k)))
+    b = ClassFunction(G, data.draw(class_values(k)))
+    if born_lifted:
+        # an induced function times a: lifted, with no canonical value built
+        phi = data.draw(st.sampled_from(table(pair.N).irreducibles))
+        a = induce(pair, phi).function * a
+        assert a._values is None
+    got = inner_product(a, b)
+    want = value_inner_product(a, b)
+    assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+    assert inner_product(b, a) == want.conj()
+
+
 def test_inner_product_group_mismatch():
     a = table(family("symmetric4"))[0].base
     b = table(family("alternating4"))[0].base
@@ -265,12 +303,17 @@ def test_modular_oracle_on_a_frobenius_group():
 # -- the lifted pairing kernel against per-irreducible inner products ---------
 
 
+def value_inner_product(a, b):
+    """<a, b> from the canonical values, by the value-level oracle."""
+    return Fraction(1, a.group.order) * weighted_dot(a.group.class_sizes(), a.values, b.values)
+
+
 def decompose_oracle(tbl, f):
-    """decompose as one inner_product per irreducible, the loop the lifted
-    kernel replaced."""
+    """decompose as one value-level inner product per irreducible, the loop
+    the lifted kernel replaced."""
     mults = []
     for chi in tbl:
-        m = inner_product(f, chi.base)
+        m = value_inner_product(f, chi.base)
         if not m.is_integer() or m.to_integer() < 0:
             raise CheckFailure(f"non-integral multiplicity {m} of {chi.label} in a class function")
         mults.append(m.to_integer())

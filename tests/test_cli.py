@@ -162,6 +162,18 @@ def test_exponents_below_a_first_rank_exit_one(capsys, label):
         assert "no exponent data" in err or "unknown finite type" in err
 
 
+def test_exponents_subscript_is_capped(capsys):
+    code, out, _ = _capture(capsys, ["exponents", "--type", "C_10000^(1)", "--json"])
+    assert code == 0
+    assert len(json.loads(out)["exponents"]) == 10001
+    for label in ("C_10001^(1)", "A_" + "9" * 5000, "C_0010001^(1)"):
+        code, out, err = _capture(capsys, ["exponents", "--type", label])
+        assert (code, out) == (1, "")
+        assert "capped at 10000" in err
+    code, out, _ = _capture(capsys, ["exponents", "--type", "C_0003^(1)"])
+    assert code == 0 and "exponents [0, 1, 2, 3]" in out
+
+
 @pytest.mark.parametrize("degree", ["-1", "2001", "100000"])
 def test_chebyshev_degree_out_of_range_is_a_usage_error(capsys, degree):
     with pytest.raises(SystemExit) as exc:

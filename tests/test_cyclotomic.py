@@ -10,15 +10,15 @@ from mckay_slodowy.cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
-    linear_combination,
     reduce_mod_phi,
     root_of_unity,
     root_sum,
     sqrt2,
     sqrt_minus1,
     unlift,
-    weighted_dot,
 )
+
+from oracles import linear_combination, weighted_dot
 
 
 def brute_product_mod_phi8(a, b):
@@ -100,6 +100,27 @@ def test_serialization_round_trip():
     assert Cyclotomic.from_text(x.to_text()) == x
     assert Cyclotomic.from_json(x.to_json()) == x
     assert x.to_text().startswith("cyc(")
+
+
+def test_a_rational_value_hashes_as_the_number_it_equals():
+    for value in (2, -7, Fraction(5, 2), 0):
+        x = Cyclotomic(value)
+        assert x == value and hash(x) == hash(value)
+        assert x in {value} and value in {x}
+    half = root_of_unity(3) + root_of_unity(3, 2) + Fraction(3, 2)  # = 1/2
+    assert half in {Fraction(1, 2)} and {half: "v"}[Fraction(1, 2)] == "v"
+
+
+@pytest.mark.parametrize("bad", ["cyc(0)[5]", "cyc(-3)[1, 2]"])
+def test_from_text_rejects_a_conductor_below_one(bad):
+    with pytest.raises(ValueError, match="conductor must be a positive integer"):
+        Cyclotomic.from_text(bad)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_from_json_rejects_a_conductor_below_one(n):
+    with pytest.raises(ValueError, match="conductor must be a positive integer"):
+        Cyclotomic.from_json({"conductor": n, "coeffs": ["1", "2"]})
 
 
 def test_cyclotomic_polynomials():

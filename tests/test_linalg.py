@@ -4,7 +4,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay_slodowy.linalg import _echelon, solve_exact
+from mckay_slodowy.linalg import rank, solve_exact
+
+
+def _echelon(rows):
+    """Oracle: Gauss-Jordan reduction over Fractions, returning (reduced
+    rows, pivot column indices)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots
 
 
 def gauss_jordan_solve(rows, rhs):
@@ -66,3 +92,21 @@ def test_solve_exact_examples():
         solve_exact([[1], [1]], [1, 2])
     with pytest.raises(ValueError, match="underdetermined"):
         solve_exact([[1, 1], [2, 2]], [1, 2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems())
+def test_fraction_free_rank_matches_gauss_jordan(system):
+    rows, rhs = system
+    assert rank(rows) == len(_echelon(rows)[1])
+    augmented = [[*row, b] for row, b in zip(rows, rhs)]
+    assert rank(augmented) == len(_echelon(augmented)[1])
+    transposed = [list(col) for col in zip(*rows)]
+    assert rank(transposed) == rank(rows)
+
+
+def test_rank_examples():
+    assert rank([]) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,10 @@ import pytest
 from mckay_slodowy.dynkin import adjacency, catalog_for_size, identify, _isomorphic
 from mckay_slodowy.errors import CheckFailure, DomainError
 from mckay_slodowy.groups import family, normal_pair, pair_from_groups
+from mckay_slodowy.verify import default_pair_arguments
 from mckay_slodowy.mckay import (
+    InductionBasis,
+    RestrictionBasis,
     characteristic_identity_check,
     eigenvector_check,
     fusion_matrices,
@@ -57,6 +61,39 @@ def test_trivial_member_comes_first():
         assert 0 in rb.origins[0]
         assert 0 in ib.origins[0]
         assert ib.degrees[0] == pair.index
+
+
+def _self_pair(name):
+    return pair_from_groups(family(name), family(name))
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [pytest.param(lambda n=n, name=name: normal_pair(name, n), id=f"{name}-{n}")
+     for name, n in default_pair_arguments()]
+    + [pytest.param(lambda name=name: _self_pair(name), id=f"{name}-self")
+       for name in ("binary_tetrahedral", "binary_octahedral")],
+)
+def test_basis_degrees_match_the_members_values(pair):
+    pair = pair()
+    for basis in (restriction_basis(pair), induction_basis(pair)):
+        assert basis.degrees == tuple(f.values[0].to_integer() for f in basis.members)
+
+
+def test_the_two_sides_keep_their_basis_types():
+    pair = normal_pair("S4A4")
+    rb, ib = restriction_basis(pair), induction_basis(pair)
+    assert repr(rb).startswith("RestrictionBasis(pair=")
+    assert repr(ib).startswith("InductionBasis(pair=")
+    fields = {f.name: getattr(rb, f.name) for f in dataclasses.fields(rb)}
+    assert list(fields) == ["pair", "members", "mult_vectors", "origins", "labels"]
+    assert RestrictionBasis(**fields) == rb
+    assert InductionBasis(**fields) != rb  # equality compares the class
+    assert rb.index_of_origin("rho_0^-") == 0 and ib.index_of_origin("phi_2") == 1
+    with pytest.raises(DomainError, match=r"rho_0\^\+ does not restrict to a basis member"):
+        dataclasses.replace(rb, origins=rb.origins[1:]).index_of_origin("rho_0^+")
+    with pytest.raises(DomainError, match="phi_0 does not induce to a basis member"):
+        dataclasses.replace(ib, origins=ib.origins[1:]).index_of_origin("phi_0")
 
 
 def test_fusion_matrices_s4a4():

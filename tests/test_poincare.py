@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mckay_slodowy.characters import table
-from mckay_slodowy.cyclotomic import Cyclotomic, weighted_dot
+from mckay_slodowy.cyclotomic import Cyclotomic
 from mckay_slodowy.errors import DomainError
 from mckay_slodowy.groups import normal_pair
 from mckay_slodowy.mckay import fusion_matrices
@@ -22,6 +22,7 @@ from mckay_slodowy.poincare import (
     series_recursion,
 )
 from mckay_slodowy.polynomials import IntPoly
+from oracles import weighted_dot
 
 
 def matrix_power_oracle(M, vertex, K):
