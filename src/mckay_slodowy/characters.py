@@ -8,7 +8,6 @@ to the Dixon-Schneider computation, which is exact as well.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import isqrt, lcm
 from operator import mul
@@ -24,6 +23,7 @@ from .cyclotomic import (
 )
 from .errors import CheckFailure, DomainError
 from .groups import FiniteGroup, NormalPair
+from .record import Record
 
 
 class ClassFunction:
@@ -152,8 +152,7 @@ def _collect(terms) -> tuple[tuple[int, int], ...]:
     return tuple((e, c) for e, c in acc.items() if c)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     base: ClassFunction
     label: str
     irreducible: bool = False
@@ -558,8 +557,7 @@ def verify_table(tbl: CharacterTable) -> None:
 # -- induction / restriction -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposed:
+class Decomposed(Record):
     """A class function together with its decomposition into irreducibles."""
 
     function: ClassFunction

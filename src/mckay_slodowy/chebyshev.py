@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dynkin
@@ -24,10 +23,10 @@ from .mckay import (
 )
 from .poincare import RationalSeries, series_cramer
 from .polynomials import IntPoly, char_poly
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ChebyshevPoly:
+class ChebyshevPoly(Record):
     kind: str  # "first" or "second"
     n: int
     poly: IntPoly
@@ -86,8 +85,7 @@ def chebyshev_product_value(kind: str, n: int, t: float) -> float:
     raise DomainError("kind must be 'first' or 'second'")
 
 
-@dataclass(frozen=True)
-class IdentityFailure:
+class IdentityFailure(Record):
     identity: str
     n: int
     detail: str
@@ -189,8 +187,7 @@ def _alternating_sum(m: int) -> IntPoly:
     return acc
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(Record):
     family: str
     n: int
     series: RationalSeries
@@ -237,8 +234,7 @@ def closed_form_check(family_name: str, n: int) -> ClosedFormReport:
 # -- exponents ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentData:
+class ExponentData(Record):
     type_label: str
     exponents: tuple[int, ...]
     coxeter: int
@@ -296,8 +292,7 @@ def exponent_duality_holds(data: ExponentData) -> bool:
     return all(exps[i] + exps[n - 1 - i] == data.coxeter for i in range(n))
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     pair_name: str
     affine_type: str
     finite_type: str

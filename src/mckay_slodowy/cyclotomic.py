@@ -436,9 +436,16 @@ class Cyclotomic:
 
     @classmethod
     def _parsed(cls, n: int, coeffs: list[Fraction]) -> "Cyclotomic":
-        """The value sum_j coeffs[j] * zeta_n^j of a parsed literal."""
+        """The value sum_j coeffs[j] * zeta_n^j of a parsed literal.  With g
+        the gcd of n and the indices of the nonzero coefficients, zeta_n^j =
+        zeta_(n/g)^(j/g), so the literal is read at conductor n/g first; a
+        rational one never meets Phi_n."""
         if n < 1:
             raise ValueError("conductor must be a positive integer")
+        g = gcd(n, *(j for j, c in enumerate(coeffs) if c))
+        n, coeffs = n // g, coeffs[::g]
+        if n == 1:
+            return cls(sum(coeffs))
         coeffs += [Fraction(0)] * (euler_phi(n) - len(coeffs))
         return cls._raw(n, reduce_mod_phi(n, coeffs))
 

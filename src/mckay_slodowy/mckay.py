@@ -5,7 +5,6 @@ in the affine catalog, null vectors and eigenvector structure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from math import lcm
 from operator import mul
@@ -17,10 +16,10 @@ from .cyclotomic import Cyclotomic, reduce_mod_phi, root_sum
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
 from .linalg import rank, solve_exact
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(Record):
     """The distinct restrictions (or inductions) of the irreducibles of one
     group of a pair: class functions on the other group, with their
     multiplicity vectors there and the indices of the irreducibles giving
@@ -130,8 +129,7 @@ def induction_basis(pair: NormalPair) -> InductionBasis:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FusionData:
+class FusionData(Record):
     """The two fusion matrices of a pair for a fixed module V, with bases.
 
     Compared and hashed by identity: only the memoised _fusion_matrices
@@ -143,6 +141,9 @@ class FusionData:
     B: tuple[tuple[int, ...], ...]
     rbasis: RestrictionBasis
     ibasis: InductionBasis
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def size(self) -> int:
@@ -229,16 +230,14 @@ def _fusion_matrices(pair: NormalPair, V: Character) -> FusionData:
     return FusionData(pair, V, A, B, rbasis, ibasis)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     i: int
     j: int
     multiplicity: int
     arrow_to: int | None  # None for symmetric edges
 
 
-@dataclass(frozen=True)
-class RepresentationGraph:
+class RepresentationGraph(Record):
     side: str
     node_labels: tuple[str, ...]
     degrees: tuple[int, ...]
@@ -289,13 +288,16 @@ def graph(data: FusionData, side: str = "restriction") -> RepresentationGraph:
     )
 
 
-@dataclass(frozen=True)
-class NullVectorReport:
+class NullVectorReport(Record):
     variant: str  # "standard", "transposed", or "both"
     alpha_A: tuple[int, ...]
     alpha_B: tuple[int, ...]
     kernel_dims: tuple[int, int]
-    annihilations: dict = field(hash=False, default_factory=dict)
+    annihilations: dict
+
+    def __hash__(self):
+        # the annihilations dict is not hashable; equal reports still hash alike
+        return hash((self.variant, self.alpha_A, self.alpha_B, self.kernel_dims))
 
 
 def _mat_vec(M, v):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -19,6 +18,7 @@ from .errors import CheckFailure, DomainError
 from .groups import NormalPair
 from .mckay import FusionData, default_module, fusion_matrices, one_minus_product
 from .polynomials import IntPoly, faddeev_leverrier, poly_gcd
+from .record import Record
 
 SIDES = ("restriction", "induction")
 
@@ -97,8 +97,7 @@ class RationalSeries:
         }
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
+class MultiplicityVector(Record):
     """All basis-member multiplicities inside V^(tensor k), one integer per
     basis index."""
 
@@ -296,8 +295,7 @@ def root_lengths(cartan: tuple[tuple[int, ...], ...]) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Record):
     pair_name: str
     kind: str  # "main" or "special"
     relations: tuple[tuple[int, str, int], ...]  # (vertex, length class, factor)

@@ -6,8 +6,6 @@ pass/fail results.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .characters import frobenius_check, induce, restrict, table, table_numeric, verify_table
 from .chebyshev import closed_form_check, spectrum_exponents_check
 from .dynkin import FAMILIES
@@ -31,10 +29,10 @@ from .poincare import (
     series_cramer,
     series_recursion,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     ok: bool
     detail: str = ""

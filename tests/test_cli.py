@@ -345,6 +345,15 @@ def test_runtime_needs_neither_numpy_nor_networkx():
     assert "0 failed" in proc.stdout
 
 
+def test_a_cold_cli_import_loads_neither_dataclasses_nor_inspect():
+    # importing the two took about half of a cold start; the value types
+    # subclass record.Record instead
+    code = "import sys, mckay_slodowy.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    proc = _python("-c", code, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
 def test_coefficients_past_the_int_str_digit_limit_print(fmt):
     # coefficient 14 300 of the E6^2 invariants series is the first with more

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,36 @@ def test_from_text_rejects_a_conductor_below_one(bad):
 def test_from_json_rejects_a_conductor_below_one(n):
     with pytest.raises(ValueError, match="conductor must be a positive integer"):
         Cyclotomic.from_json({"conductor": n, "coeffs": ["1", "2"]})
+
+
+def test_a_rational_literal_at_a_huge_conductor_never_builds_phi_n():
+    # zeta_n^0 = 1 for every n; building Phi_100000 took seconds
+    start = time.perf_counter()
+    assert Cyclotomic.from_text("cyc(100000)[1]") == 1
+    assert Cyclotomic.from_json({"conductor": 100000, "coeffs": ["1"]}) == 1
+    assert Cyclotomic.from_text("cyc(1000000)[-2/3, 0, 0]") == Fraction(-2, 3)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "n,coeffs",
+    [
+        (12, [0, 0, 0, 1]),
+        (10, [0, 0, 1]),
+        (4, [0, 0, 0, 0, 1]),
+        (6, [0, 0, 0, Fraction(5, 3)]),
+        (8, [0, 1, 0, 0, 0, 0, 0, 1]),
+        (9, [2, 0, 0, 1, 0, 0, -1]),
+        (1, [1, 2]),
+        (6, []),
+    ],
+)
+def test_a_literal_is_read_at_the_conductor_its_indices_allow(n, coeffs):
+    expected = sum((c * root_of_unity(n, j) for j, c in enumerate(coeffs)), Cyclotomic(0))
+    text = f"cyc({n})[{', '.join(map(str, coeffs))}]"
+    assert Cyclotomic.from_text(text) == expected
+    json_data = {"conductor": n, "coeffs": [str(c) for c in coeffs]}
+    assert Cyclotomic.from_json(json_data) == expected
 
 
 def test_cyclotomic_polynomials():

@@ -3,7 +3,6 @@ oracles: induction by one linear_combination per class, products and powers
 of chi_V as Cyclotomic products, and the eigenvector check row by row on
 Cyclotomic values.  The brute-force series has its Cyclotomic-power oracle
 in test_poincare."""
-import dataclasses
 from fractions import Fraction
 from itertools import islice
 
@@ -13,7 +12,13 @@ from mckay_slodowy import characters, cyclotomic, groups
 from mckay_slodowy.characters import ClassFunction, induce, table
 from mckay_slodowy.errors import CheckFailure
 from mckay_slodowy.groups import PAIR_N_MIN, family, normal_pair, pair_from_groups
-from mckay_slodowy.mckay import _solve_in_basis, eigenvector_check, fusion_matrices, induction_basis
+from mckay_slodowy.mckay import (
+    FusionData,
+    _solve_in_basis,
+    eigenvector_check,
+    fusion_matrices,
+    induction_basis,
+)
 from mckay_slodowy.poincare import _powers, series_cramer
 from oracles import linear_combination
 
@@ -107,10 +112,11 @@ def test_eigenvector_check_matches_the_row_by_row_oracle(name, n):
 def test_a_perturbed_fusion_matrix_fails_the_eigenvector_check(name, n):
     data = fusion_matrices(normal_pair(name, n))
     # one more copy of member 0 in V * member 0: the identity class already fails
+    fields = {key: getattr(data, key) for key in data._fields}
     for field, side in (("A", "restriction"), ("B", "induction")):
         M = [list(row) for row in getattr(data, field)]
         M[0][0] += 1
-        bad = dataclasses.replace(data, **{field: tuple(map(tuple, M))})
+        bad = FusionData(**{**fields, field: tuple(map(tuple, M))})
         with pytest.raises(CheckFailure, match=f"{side} eigenvector fails at class 0, row 0"):
             eigenvector_check(bad)
         with pytest.raises(CheckFailure, match=f"{side} eigenvector fails"):
@@ -143,4 +149,5 @@ def test_series_cramer_materialises_no_induced_value(monkeypatch):
 def test_fusion_data_hashes_by_identity():
     data = fusion_matrices(normal_pair("E6^2"))
     assert hash(data) == object.__hash__(data)
-    assert data == data and data != dataclasses.replace(data)
+    copy = FusionData(**{key: getattr(data, key) for key in data._fields})
+    assert data == data and data != copy
