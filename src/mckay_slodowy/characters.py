@@ -292,41 +292,35 @@ def _pairings(tbl: CharacterTable, f: ClassFunction) -> tuple[int, list[list[int
 # -- exact family tables ----------------------------------------------------
 
 
+def _rows(group: FiniteGroup, data) -> CharacterTable:
+    """The table with one irreducible per (label, values) entry, in order."""
+    return CharacterTable(
+        group,
+        [Character(ClassFunction(group, vals), lbl, irreducible=True) for lbl, vals in data],
+    )
+
+
 def _table_cyclic(group: FiniteGroup, n: int) -> CharacterTable:
-    rows = []
-    for i in range(n):
-        values = [root_of_unity(n, i * k) for k in range(n)]
-        rows.append(Character(ClassFunction(group, values), f"xi_{i}", irreducible=True))
-    return CharacterTable(group, rows)
+    return _rows(group, [(f"xi_{i}", [root_of_unity(n, i * k) for k in range(n)]) for i in range(n)])
 
 
 def _table_binary_dihedral(group: FiniteGroup, n: int) -> CharacterTable:
     # classes: 1, -1, x, ..., x^{n-1}, y, yx
-    one = Cyclotomic(1)
     s = root_of_unity(4, n)  # pinned value of sqrt((-1)^n)
-    rows = []
-    for eps, lbl in ((1, "delta_0^+"), (-1, "delta_0^-")):
-        vals = [one, one] + [one] * (n - 1) + [Cyclotomic(eps), Cyclotomic(eps)]
-        rows.append(Character(ClassFunction(group, vals), lbl, irreducible=True))
-    rows_mid = []
+    data = [(lbl, [1] * (n + 1) + [eps, eps]) for eps, lbl in ((1, "delta_0^+"), (-1, "delta_0^-"))]
     for i in range(1, n):
-        vals = [Cyclotomic(2), Cyclotomic(2 * (-1) ** i)]
+        vals = [2, 2 * (-1) ** i]
         vals += [root_of_unity(2 * n, i * j) + root_of_unity(2 * n, -i * j) for j in range(1, n)]
-        vals += [Cyclotomic(0), Cyclotomic(0)]
-        rows_mid.append(Character(ClassFunction(group, vals), f"delta_{i}", irreducible=True))
-    rows_end = []
+        data.append((f"delta_{i}", vals + [0, 0]))
     for eps, lbl in ((1, f"delta_{n}^+"), (-1, f"delta_{n}^-")):
-        vals = [one, Cyclotomic((-1) ** n)]
-        vals += [Cyclotomic((-1) ** j) for j in range(1, n)]
-        vals += [eps * s, -eps * s]
-        rows_end.append(Character(ClassFunction(group, vals), lbl, irreducible=True))
-    return CharacterTable(group, rows + rows_mid + rows_end)
+        data.append((lbl, [1, (-1) ** n] + [(-1) ** j for j in range(1, n)] + [eps * s, -eps * s]))
+    return _rows(group, data)
 
 
-def _table_tetrahedral(group: FiniteGroup) -> CharacterTable:
+def _table_tetrahedral(group: FiniteGroup, n: None) -> CharacterTable:
     w = root_of_unity(3)
     w2 = root_of_unity(3, 2)
-    data = [
+    return _rows(group, [
         ("tau_0", [1, 1, 1, 1, 1, 1, 1]),
         ("tau_0'", [1, 1, 1, w, w2, w, w2]),
         ("tau_0''", [1, 1, 1, w2, w, w2, w]),
@@ -334,17 +328,12 @@ def _table_tetrahedral(group: FiniteGroup) -> CharacterTable:
         ("tau_1'", [2, -2, 0, w, -w2, -w, w2]),
         ("tau_1''", [2, -2, 0, w2, -w, -w2, w]),
         ("tau_2", [3, 3, -1, 0, 0, 0, 0]),
-    ]
-    rows = [
-        Character(ClassFunction(group, [Cyclotomic(v) if not isinstance(v, Cyclotomic) else v for v in vals]), lbl, irreducible=True)
-        for lbl, vals in data
-    ]
-    return CharacterTable(group, rows)
+    ])
 
 
-def _table_octahedral(group: FiniteGroup) -> CharacterTable:
+def _table_octahedral(group: FiniteGroup, n: None) -> CharacterTable:
     r2 = sqrt2()
-    data = [
+    return _rows(group, [
         ("omega_0^+", [1, 1, 1, 1, 1, 1, 1, 1]),
         ("omega_1^+", [2, -2, r2, -r2, 0, 0, 1, -1]),
         ("omega_2^+", [3, 3, 1, 1, -1, -1, 0, 0]),
@@ -353,58 +342,47 @@ def _table_octahedral(group: FiniteGroup) -> CharacterTable:
         ("omega_2^-", [3, 3, -1, -1, -1, 1, 0, 0]),
         ("omega_1^-", [2, -2, -r2, r2, 0, 0, 1, -1]),
         ("omega_0^-", [1, 1, -1, -1, 1, -1, 1, 1]),
-    ]
-    rows = [
-        Character(ClassFunction(group, vals), lbl, irreducible=True) for lbl, vals in data
-    ]
-    return CharacterTable(group, rows)
+    ])
 
 
-def _table_symmetric4(group: FiniteGroup) -> CharacterTable:
-    data = [
+def _table_symmetric4(group: FiniteGroup, n: None) -> CharacterTable:
+    return _rows(group, [
         ("rho_0^+", [1, 1, 1, 1, 1]),
         ("rho_0^-", [1, -1, 1, -1, 1]),
         ("rho_1", [2, 0, -1, 0, 2]),
         ("rho_2^+", [3, 1, 0, -1, -1]),
         ("rho_2^-", [3, -1, 0, 1, -1]),
-    ]
-    return CharacterTable(
-        group,
-        [Character(ClassFunction(group, vals), lbl, irreducible=True) for lbl, vals in data],
-    )
+    ])
 
 
-def _table_alternating4(group: FiniteGroup) -> CharacterTable:
+def _table_alternating4(group: FiniteGroup, n: None) -> CharacterTable:
     w, w2 = root_of_unity(3), root_of_unity(3, 2)
-    data = [
+    return _rows(group, [
         ("phi_0", [1, 1, 1, 1]),
         ("phi_1", [1, w, w2, 1]),
         ("phi_2", [1, w2, w, 1]),
         ("phi_3", [3, 0, 0, -1]),
-    ]
-    return CharacterTable(
-        group,
-        [Character(ClassFunction(group, vals), lbl, irreducible=True) for lbl, vals in data],
-    )
+    ])
+
+
+# closed-form tables by family name (groups.FAMILIES), each built from (group, n)
+_TABLES = {
+    "cyclic": _table_cyclic,
+    "binary_dihedral": _table_binary_dihedral,
+    "binary_tetrahedral": _table_tetrahedral,
+    "binary_octahedral": _table_octahedral,
+    "symmetric4": _table_symmetric4,
+    "alternating4": _table_alternating4,
+}
 
 
 @cache
 def table(group: FiniteGroup) -> CharacterTable:
     """Exact character table; closed formulas for the named families,
     Dixon-Schneider otherwise."""
-    info = group.family_info
-    if info is None:
-        return table_numeric(group)
-    kind, n = info
-    builder = {
-        "cyclic": lambda: _table_cyclic(group, n),
-        "binary_dihedral": lambda: _table_binary_dihedral(group, n),
-        "binary_tetrahedral": lambda: _table_tetrahedral(group),
-        "binary_octahedral": lambda: _table_octahedral(group),
-        "symmetric4": lambda: _table_symmetric4(group),
-        "alternating4": lambda: _table_alternating4(group),
-    }[kind]
-    return builder()
+    kind, n = group.family_info or (None, None)
+    builder = _TABLES.get(kind)
+    return table_numeric(group) if builder is None else builder(group, n)
 
 
 # -- Dixon-Schneider oracle ------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import dynkin
 from .cyclotomic import root_of_unity
 from .errors import CheckFailure, DomainError
-from .groups import NormalPair, normal_pair
+from .groups import PAIRS, NormalPair, normal_pair
 from .mckay import (
     FusionData,
     characteristic_identity_check,
@@ -21,7 +21,7 @@ from .mckay import (
     graph,
     one_minus_product,
 )
-from .poincare import RationalSeries, series_cramer
+from .poincare import RationalSeries, denominator_identity_check, series_cramer
 from .polynomials import IntPoly, char_poly
 from .record import Record
 
@@ -199,16 +199,13 @@ def closed_form_check(family_name: str, n: int) -> ClosedFormReport:
     """The invariants series of the dihedral-family pairs equals its binomial
     closed form: numerator c_{n-1}, denominator (1-4t^2) times the alternating
     binomial sum of order n-2 (first family) or n-1 (second family), exactly."""
-    if family_name == "A2n-1^2":
-        if n < 3:
-            raise DomainError("A2n-1^2 requires n >= 3")
-        depth = n - 2
-    elif family_name == "Dn+1^2":
-        if n < 2:
-            raise DomainError("Dn+1^2 requires n >= 2")
-        depth = n - 1
-    else:
-        raise DomainError("closed forms are stated for A2n-1^2 and Dn+1^2")
+    row = PAIRS.get(family_name)
+    if row is None or row.closed_form is None:
+        stated = " and ".join(name for name, r in PAIRS.items() if r.closed_form)
+        raise DomainError(f"closed forms are stated for {stated}")
+    if n is None or n < row.n_min:
+        raise DomainError(f"{family_name} requires n >= {row.n_min}")
+    depth = row.closed_form(n)
     pair = normal_pair(family_name, n)
     data = fusion_matrices(pair)
     series = series_cramer(data, "restriction", 0)
@@ -220,8 +217,6 @@ def closed_form_check(family_name: str, n: int) -> ClosedFormReport:
             f"{family_name} n={n}: invariants series {series} does not match "
             f"({num.pretty()}) / ({den.pretty()})"
         )
-    from .poincare import denominator_identity_check
-
     det_val = denominator_identity_check(pair)
     if det_val != den:
         raise CheckFailure(

@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .linalg import solve_exact
+from .polynomials import IntPoly
 
 Rational = Fraction
 
@@ -48,33 +49,16 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _int_poly_quotient(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # exact division of integer polynomials, den monic
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            out[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of Phi_n, via x^n - 1 = prod_{d|n} Phi_d."""
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
+    num = IntPoly([-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
-            num = _int_poly_quotient(num, cyclotomic_polynomial(d))
-    return tuple(num)
+            num = num.divmod_exact(IntPoly(cyclotomic_polynomial(d)))
+    return num.coeffs
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,8 @@ subgroups, built from their standard generators) and permutations of
 {1..m} (S4, A4).  Groups are closed by breadth-first multiplication from
 the identity; conjugacy classes come from orbit enumeration.  Normal
 pairs carry the embedding of N into G and the set Upsilon(N) of G-class
-representatives lying in N.
+representatives lying in N.  The named families (FAMILIES) and the
+distinguished pairs (PAIRS) are one catalog row each.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import os
 from fractions import Fraction
 from functools import cache, partial
 from math import lcm
+from typing import Callable
 
 from .cyclotomic import (
     Cyclotomic,
@@ -26,6 +28,7 @@ from .cyclotomic import (
     unlift,
 )
 from .errors import CheckFailure, ClosureBoundExceeded, DomainError
+from .record import Record
 
 DEFAULT_MAX_ORDER = 10000
 
@@ -405,25 +408,6 @@ def _dot2(m: int, x, e, y, f) -> list[int]:
 
 # -- the named families ---------------------------------------------------
 
-FAMILY_NAMES = (
-    "cyclic",
-    "binary_dihedral",
-    "binary_tetrahedral",
-    "binary_octahedral",
-    "symmetric4",
-    "alternating4",
-)
-
-# closed-form orders, checked against the bound before any closure starts
-_FAMILY_ORDERS = {
-    "cyclic": lambda n: n,
-    "binary_dihedral": lambda n: 4 * n,
-    "binary_tetrahedral": lambda n: 24,
-    "binary_octahedral": lambda n: 48,
-    "symmetric4": lambda n: 24,
-    "alternating4": lambda n: 12,
-}
-
 
 def _tetra_generators() -> tuple[Matrix2, Matrix2, Matrix2]:
     i = sqrt_minus1()
@@ -437,6 +421,105 @@ def _tetra_generators() -> tuple[Matrix2, Matrix2, Matrix2]:
     return x, y, z
 
 
+# Each builder takes (n, max_order) and returns the closed group, its class
+# representatives in the order of the character table's columns, and their
+# labels.
+
+
+def _cyclic(n: int, max_order: int):
+    z = Matrix2.diagonal(root_of_unity(n, -1), root_of_unity(n, 1))
+    G = generate([z], max_order, name=f"C_{n}")
+    zi = G.index[z]
+    reps, cur = [0], zi
+    for _ in range(n - 1):
+        reps.append(cur)
+        cur = G.mul(cur, zi)
+    return G, reps, ["1"] + [f"z^{k}" if k > 1 else "z" for k in range(1, n)]
+
+
+def _binary_dihedral(n: int, max_order: int):
+    x = Matrix2.diagonal(root_of_unity(2 * n, -1), root_of_unity(2 * n, 1))
+    y = Matrix2(0, sqrt_minus1(), sqrt_minus1(), 0)
+    G = generate([x, y], max_order, name=f"D_{n}")
+    if G.order != 4 * n:
+        raise CheckFailure(f"binary dihedral closure has order {G.order}, expected {4*n}")
+    xi, yi = G.index[x], G.index[y]
+    powers = [0]
+    for _ in range(2 * n - 1):
+        powers.append(G.mul(powers[-1], xi))
+    reps = [0, powers[n]] + powers[1:n] + [yi, G.mul(yi, xi)]
+    return G, reps, ["1", "-1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, n)] + ["y", "yx"]
+
+
+def _binary_tetrahedral(n: None, max_order: int):
+    x, y, z = _tetra_generators()
+    G = generate([x, y, z], max_order, name="T")
+    xi, zi = G.index[x], G.index[z]
+    minus1 = G.mul(xi, xi)
+    z2 = G.mul(zi, zi)
+    reps = [0, minus1, xi, zi, z2, G.mul(minus1, zi), G.mul(minus1, z2)]
+    return G, reps, ["1", "-1", "x", "z", "z^2", "-z", "-z^2"]
+
+
+def _binary_octahedral(n: None, max_order: int):
+    _, y, z = _tetra_generators()
+    u = Matrix2.diagonal(root_of_unity(8, 1), root_of_unity(8, -1))
+    G = generate([u, y, z], max_order, name="O")
+    ui, yi, zi = G.index[u], G.index[y], G.index[z]
+    u2 = G.mul(ui, ui)
+    minus1 = G.mul(u2, u2)
+    reps = [0, minus1, ui, G.mul(minus1, ui), yi, G.mul(ui, yi), zi, G.mul(minus1, zi)]
+    return G, reps, ["1", "-1", "u", "-u", "y", "uy", "z", "-z"]
+
+
+def _symmetric4(n: None, max_order: int):
+    cycles = partial(Permutation.from_cycles, 4)
+    G = generate([cycles((1, 2)), cycles((1, 2, 3, 4))], max_order, name="S_4")
+    reps = [cycles(), cycles((1, 2)), cycles((1, 2, 3)), cycles((1, 2, 3, 4)), cycles((1, 2), (3, 4))]
+    return G, [G.index[r] for r in reps], ["1", "(12)", "(123)", "(1234)", "(12)(34)"]
+
+
+def _alternating4(n: None, max_order: int):
+    cycles = partial(Permutation.from_cycles, 4)
+    G = generate([cycles((1, 2, 3)), cycles((1, 2, 4))], max_order, name="A_4")
+    reps = [cycles(), cycles((1, 2, 3)), cycles((1, 3, 2)), cycles((1, 2), (3, 4))]
+    return G, [G.index[r] for r in reps], ["1", "(123)", "(132)", "(12)(34)"]
+
+
+class GroupFamily(Record):
+    """One named family: the least n it takes (None for a single group), its
+    order as a closed form in n, and its builder."""
+
+    n_min: int | None
+    order: Callable[[int | None], int]
+    build: Callable
+
+
+FAMILIES = {
+    "cyclic": GroupFamily(2, lambda n: n, _cyclic),
+    "binary_dihedral": GroupFamily(2, lambda n: 4 * n, _binary_dihedral),
+    "binary_tetrahedral": GroupFamily(None, lambda n: 24, _binary_tetrahedral),
+    "binary_octahedral": GroupFamily(None, lambda n: 48, _binary_octahedral),
+    "symmetric4": GroupFamily(None, lambda n: 24, _symmetric4),
+    "alternating4": GroupFamily(None, lambda n: 12, _alternating4),
+}
+FAMILY_NAMES = tuple(FAMILIES)
+
+
+def _checked_row(rows: dict, kind: str, name: str, n: int | None, subject: str):
+    """The catalog row of name, once n fits it; subject opens the message for
+    a missing or small n."""
+    row = rows.get(name)
+    if row is None:
+        raise DomainError(f"unknown {kind} {name!r}; choose from {tuple(rows)}")
+    if row.n_min is None:
+        if n is not None:
+            raise DomainError(f"{kind} {name} takes no n")
+    elif n is None or n < row.n_min:
+        raise DomainError(f"{subject} requires n >= {row.n_min}")
+    return row
+
+
 def family(name: str, n: int | None = None, max_order: int | None = None) -> FiniteGroup:
     """One of the named group families, with conjugacy class representatives
     ordered to match its character table columns.  Results are shared
@@ -446,101 +529,16 @@ def family(name: str, n: int | None = None, max_order: int | None = None) -> Fin
 
 @cache
 def _family_cached(name: str, n: int | None, max_order: int) -> FiniteGroup:
-    if name not in FAMILY_NAMES:
-        raise DomainError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
-    if name in ("cyclic", "binary_dihedral"):
-        if n is None or n < 2:
-            raise DomainError(f"{name} requires n >= 2")
-    elif n is not None:
-        raise DomainError(f"family {name} takes no n")
-    order = _FAMILY_ORDERS[name](n)
+    row = _checked_row(FAMILIES, "family", name, n, name)
+    order = row.order(n)
     if order > max_order:
         raise ClosureBoundExceeded(
             f"{name} has order {order}, above the bound of {max_order} elements"
         )
-
-    if name == "cyclic":
-        z = Matrix2.diagonal(root_of_unity(n, -1), root_of_unity(n, 1))
-        G = generate([z], max_order, name=f"C_{n}")
-        zi = G.index[z]
-        reps, cur = [0], zi
-        for _ in range(n - 1):
-            reps.append(cur)
-            cur = G.mul(cur, zi)
-        labels = ["1"] + [f"z^{k}" if k > 1 else "z" for k in range(1, n)]
-        G.set_class_reps(reps, labels)
-        G.family_info = ("cyclic", n)
-        return G
-
-    if name == "binary_dihedral":
-        x = Matrix2.diagonal(root_of_unity(2 * n, -1), root_of_unity(2 * n, 1))
-        y = Matrix2(0, sqrt_minus1(), sqrt_minus1(), 0)
-        G = generate([x, y], max_order, name=f"D_{n}")
-        if G.order != 4 * n:
-            raise CheckFailure(f"binary dihedral closure has order {G.order}, expected {4*n}")
-        xi, yi = G.index[x], G.index[y]
-        powers = [0]
-        for _ in range(2 * n - 1):
-            powers.append(G.mul(powers[-1], xi))
-        reps = [0, powers[n]] + powers[1:n] + [yi, G.mul(yi, xi)]
-        labels = ["1", "-1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, n)] + ["y", "yx"]
-        G.set_class_reps(reps, labels)
-        G.family_info = ("binary_dihedral", n)
-        return G
-
-    if name == "binary_tetrahedral":
-        x, y, z = _tetra_generators()
-        G = generate([x, y, z], max_order, name="T")
-        xi, zi = G.index[x], G.index[z]
-        minus1 = G.mul(xi, xi)
-        z2 = G.mul(zi, zi)
-        reps = [0, minus1, xi, zi, z2, G.mul(minus1, zi), G.mul(minus1, z2)]
-        G.set_class_reps(reps, ["1", "-1", "x", "z", "z^2", "-z", "-z^2"])
-        G.family_info = ("binary_tetrahedral", None)
-        return G
-
-    if name == "binary_octahedral":
-        _, y, z = _tetra_generators()
-        u = Matrix2.diagonal(root_of_unity(8, 1), root_of_unity(8, -1))
-        G = generate([u, y, z], max_order, name="O")
-        ui, yi, zi = G.index[u], G.index[y], G.index[z]
-        u2 = G.mul(ui, ui)
-        minus1 = G.mul(u2, u2)
-        reps = [0, minus1, ui, G.mul(minus1, ui), yi, G.mul(ui, yi), zi, G.mul(minus1, zi)]
-        G.set_class_reps(reps, ["1", "-1", "u", "-u", "y", "uy", "z", "-z"])
-        G.family_info = ("binary_octahedral", None)
-        return G
-
-    if name == "symmetric4":
-        a = Permutation.from_cycles(4, (1, 2))
-        b = Permutation.from_cycles(4, (1, 2, 3, 4))
-        G = generate([a, b], max_order, name="S_4")
-        reps = [
-            0,
-            G.index[Permutation.from_cycles(4, (1, 2))],
-            G.index[Permutation.from_cycles(4, (1, 2, 3))],
-            G.index[Permutation.from_cycles(4, (1, 2, 3, 4))],
-            G.index[Permutation.from_cycles(4, (1, 2), (3, 4))],
-        ]
-        G.set_class_reps(reps, ["1", "(12)", "(123)", "(1234)", "(12)(34)"])
-        G.family_info = ("symmetric4", None)
-        return G
-
-    if name == "alternating4":
-        a = Permutation.from_cycles(4, (1, 2, 3))
-        b = Permutation.from_cycles(4, (1, 2, 4))
-        G = generate([a, b], max_order, name="A_4")
-        reps = [
-            0,
-            G.index[Permutation.from_cycles(4, (1, 2, 3))],
-            G.index[Permutation.from_cycles(4, (1, 3, 2))],
-            G.index[Permutation.from_cycles(4, (1, 2), (3, 4))],
-        ]
-        G.set_class_reps(reps, ["1", "(123)", "(132)", "(12)(34)"])
-        G.family_info = ("alternating4", None)
-        return G
-
-    raise DomainError(f"unknown family {name!r}")
+    G, reps, labels = row.build(n, max_order)
+    G.set_class_reps(reps, labels)
+    G.family_info = (name, n)
+    return G
 
 
 class NormalPair:
@@ -572,7 +570,7 @@ class NormalPair:
         self.n_class_to_g_class = [
             G.class_of[self.embed[rep]] for rep in N.class_reps
         ]
-        # the PAIR_NAMES key and n of a distinguished pair; None for a generic one
+        # the PAIRS key and n of a distinguished pair; None for a generic one
         self.family: str | None = None
         self.n: int | None = None
 
@@ -609,10 +607,49 @@ class NormalPair:
         return f"NormalPair({self.name or (self.N.name + ' < ' + self.G.name)})"
 
 
-PAIR_NAMES = ("A2n-1^2", "Dn+1^2", "A2n^2", "E6^2", "D4^3", "A2^2", "S4A4")
+class PairFamily(Record):
+    """One distinguished pair N < G, or one family of them indexed by n: the
+    least n it takes (None for a single pair), the (family name, n) of G and
+    of N as a function of n, the label of the default module V, and what the
+    paper asserts of it.  That is the (restriction, induction) Dynkin types
+    ("unrecognized" where the graphs are no affine diagrams), the kind of
+    index-correspondence relations ("main", "special" or None), and, where
+    the invariants series has a binomial closed form, the order of the
+    alternating sum in its denominator."""
 
-# family minimum for the n-parametrized pairs
-PAIR_N_MIN = {"A2n-1^2": 3, "Dn+1^2": 2, "A2n^2": 2}
+    n_min: int | None
+    groups: Callable[[int | None], tuple[tuple[str, int | None], tuple[str, int | None]]]
+    module: str
+    types: Callable[[int | None], tuple[str, str]]
+    relation: str | None
+    closed_form: Callable[[int], int] | None = None
+
+
+PAIRS = {
+    "A2n-1^2": PairFamily(
+        3, lambda n: (("binary_dihedral", 2 * (n - 1)), ("binary_dihedral", n - 1)), "delta_1",
+        lambda n: (f"A_{2 * n - 1}^(2)", f"B_{n}^(1)"), "main", lambda n: n - 2),
+    "Dn+1^2": PairFamily(
+        2, lambda n: (("binary_dihedral", n), ("cyclic", 2 * n)), "delta_1",
+        lambda n: (f"D_{n + 1}^(2)", f"C_{n}^(1)"), "main", lambda n: n - 1),
+    "A2n^2": PairFamily(
+        2, lambda n: (("binary_dihedral", 2 * n), ("cyclic", 2 * n)), "delta_1",
+        lambda n: (f"A_{2 * n}^(2)", f"C_{n}^(1)"), "special"),
+    "E6^2": PairFamily(
+        None, lambda n: (("binary_octahedral", None), ("binary_tetrahedral", None)), "omega_1^+",
+        lambda n: ("E_6^(2)", "F_4^(1)"), "main"),
+    "D4^3": PairFamily(
+        None, lambda n: (("binary_tetrahedral", None), ("binary_dihedral", 2)), "tau_1",
+        lambda n: ("D_4^(3)", "G_2^(1)"), "main"),
+    "A2^2": PairFamily(
+        None, lambda n: (("binary_dihedral", 2), ("cyclic", 2)), "delta_1",
+        lambda n: ("A_2^(2)", "A_1^(1)"), "special"),
+    "S4A4": PairFamily(
+        None, lambda n: (("symmetric4", None), ("alternating4", None)), "rho_2^+",
+        lambda n: ("unrecognized", "unrecognized"), None),
+}
+PAIR_NAMES = tuple(PAIRS)
+PAIR_N_MIN = {name: row.n_min for name, row in PAIRS.items() if row.n_min is not None}
 
 
 def normal_pair(name: str, n: int | None = None, max_order: int | None = None) -> NormalPair:
@@ -623,41 +660,11 @@ def normal_pair(name: str, n: int | None = None, max_order: int | None = None) -
 
 @cache
 def _normal_pair_cached(name: str, n: int | None, max_order: int) -> NormalPair:
-    if name not in PAIR_NAMES:
-        raise DomainError(f"unknown pair {name!r}; choose from {PAIR_NAMES}")
-    if name in PAIR_N_MIN:
-        if n is None or n < PAIR_N_MIN[name]:
-            raise DomainError(f"pair {name} requires n >= {PAIR_N_MIN[name]}")
-    elif n is not None:
-        raise DomainError(f"pair {name} takes no n")
-    if name == "A2n-1^2":
-        G = family("binary_dihedral", 2 * (n - 1), max_order)
-        N = family("binary_dihedral", n - 1, max_order)
-        pair = NormalPair(G, N, name=f"(D_{2*(n-1)}, D_{n-1})", default_v="delta_1")
-    elif name == "Dn+1^2":
-        G = family("binary_dihedral", n, max_order)
-        N = family("cyclic", 2 * n, max_order)
-        pair = NormalPair(G, N, name=f"(D_{n}, C_{2*n})", default_v="delta_1")
-    elif name == "A2n^2":
-        G = family("binary_dihedral", 2 * n, max_order)
-        N = family("cyclic", 2 * n, max_order)
-        pair = NormalPair(G, N, name=f"(D_{2*n}, C_{2*n})", default_v="delta_1")
-    elif name == "E6^2":
-        G = family("binary_octahedral", max_order=max_order)
-        N = family("binary_tetrahedral", max_order=max_order)
-        pair = NormalPair(G, N, name="(O, T)", default_v="omega_1^+")
-    elif name == "D4^3":
-        G = family("binary_tetrahedral", max_order=max_order)
-        N = family("binary_dihedral", 2, max_order)
-        pair = NormalPair(G, N, name="(T, D_2)", default_v="tau_1")
-    elif name == "A2^2":
-        G = family("binary_dihedral", 2, max_order)
-        N = family("cyclic", 2, max_order)
-        pair = NormalPair(G, N, name="(D_2, C_2)", default_v="delta_1")
-    else:  # S4A4
-        G = family("symmetric4", max_order=max_order)
-        N = family("alternating4", max_order=max_order)
-        pair = NormalPair(G, N, name="(S_4, A_4)", default_v="rho_2^+")
+    row = _checked_row(PAIRS, "pair", name, n, f"pair {name}")
+    (g_name, g_n), (n_name, n_n) = row.groups(n)
+    G = family(g_name, g_n, max_order)
+    N = family(n_name, n_n, max_order)
+    pair = NormalPair(G, N, name=f"({G.name}, {N.name})", default_v=row.module)
     pair.family, pair.n = name, n
     return pair
 

@@ -6,7 +6,7 @@ in the affine catalog, null vectors and eigenvector structure.
 from __future__ import annotations
 
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import ClassVar
 
@@ -16,6 +16,7 @@ from .cyclotomic import Cyclotomic, reduce_mod_phi, root_sum
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
 from .linalg import rank, solve_exact
+from .polynomials import IntPoly, char_poly
 from .record import Record
 
 
@@ -311,8 +312,6 @@ def _is_zero(v) -> bool:
 def null_vector_check(data: FusionData) -> NullVectorReport:
     """Verify the degree vectors annihilated by the Cartan matrices, in one of
     the two documented variants, and that both kernels are 1-dimensional."""
-    from math import gcd
-
     pair = data.pair
     CA, CB = data.cartanA, data.cartanB
     ind_degs = data.ibasis.degrees
@@ -380,8 +379,6 @@ def one_minus_product(values) -> list[int]:
 
 def characteristic_identity_check(data: FusionData):
     """char(A) == char(B) == prod over Upsilon(N) of (t - chi_V(g)), exactly."""
-    from .polynomials import IntPoly, char_poly
-
     pa = char_poly([list(r) for r in data.A])
     pb = char_poly([list(r) for r in data.B])
     if pa != pb:

@@ -15,7 +15,7 @@ from operator import mul
 
 from .characters import Character, ClassFunction, table
 from .errors import CheckFailure, DomainError
-from .groups import NormalPair
+from .groups import PAIRS, NormalPair
 from .mckay import FusionData, default_module, fusion_matrices, one_minus_product
 from .polynomials import IntPoly, faddeev_leverrier, poly_gcd
 from .record import Record
@@ -259,9 +259,6 @@ def invariants_series_check(pair: NormalPair, V: Character | None = None) -> Rat
 
 # -- long/short classification and the index-correspondence relations --------
 
-MAIN_RELATION_PAIRS = ("A2n-1^2", "Dn+1^2", "E6^2", "D4^3")
-SPECIAL_RELATION_PAIRS = ("A2^2", "A2n^2")
-
 
 def root_lengths(cartan: tuple[tuple[int, ...], ...]) -> list[str]:
     """Classify nodes of a connected non-simply-laced Cartan matrix as
@@ -306,13 +303,14 @@ def corollary_relation_check(pair: NormalPair) -> RelationReport:
     correspondence: equal on long roots, scaled by |G:N| on short roots; for
     the (D_2, C_2) and (D_2n, C_2n) pairs the invariants agree and every other
     vertex satisfies m_check^i = 2 m_hat^i."""
-    name = pair.family
+    row = PAIRS.get(pair.family)
+    kind = row and row.relation
     data = fusion_matrices(pair)
     k = data.size
     res = [series_cramer(data, "restriction", i) for i in range(k)]
     ind = [series_cramer(data, "induction", i) for i in range(k)]
     relations = []
-    if name in MAIN_RELATION_PAIRS:
+    if kind == "main":
         lengths = root_lengths(data.cartanB)
         for i in range(k):
             if lengths[i] == "long":
@@ -328,7 +326,7 @@ def corollary_relation_check(pair: NormalPair) -> RelationReport:
                 )
             relations.append((i, lengths[i], factor))
         return RelationReport(pair.name, "main", tuple(relations))
-    if name in SPECIAL_RELATION_PAIRS:
+    if kind == "special":
         if res[0] != ind[0]:
             raise CheckFailure(f"{pair.name}: invariants series differ")
         relations.append((0, "special", 1))
@@ -339,7 +337,7 @@ def corollary_relation_check(pair: NormalPair) -> RelationReport:
                 )
             relations.append((i, "finite", 2))
         return RelationReport(pair.name, "special", tuple(relations))
-    raise DomainError(
-        f"index-correspondence relations are only stated for "
-        f"{MAIN_RELATION_PAIRS + SPECIAL_RELATION_PAIRS}"
-    )
+    # the main pairs in catalog order, then the special ones by name
+    stated = [name for name, r in PAIRS.items() if r.relation == "main"]
+    stated += sorted(name for name, r in PAIRS.items() if r.relation == "special")
+    raise DomainError(f"index-correspondence relations are only stated for {tuple(stated)}")

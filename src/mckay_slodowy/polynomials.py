@@ -108,18 +108,19 @@ class IntPoly:
         if self.is_zero():
             return IntPoly()
         rem = list(self.coeffs)
-        db = other.degree
-        lead = other.coeffs[-1]
+        den = other.coeffs
+        db = len(den) - 1
+        lead = den[-1]
         q = [0] * (len(rem) - db)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c:
-                if c % lead:
+                f, r = divmod(c, lead)
+                if r:
                     raise ArithmeticError("non-exact polynomial division")
-                f = c // lead
                 q[i - db] = f
-                for j in range(db + 1):
-                    rem[i - db + j] -= f * other.coeffs[j]
+                for j, d in enumerate(den, i - db):
+                    rem[j] -= f * d
         if any(rem):
             raise ArithmeticError("non-exact polynomial division")
         return IntPoly(q)

@@ -7,10 +7,16 @@ pass/fail results.
 from __future__ import annotations
 
 from .characters import frobenius_check, induce, restrict, table, table_numeric, verify_table
-from .chebyshev import closed_form_check, spectrum_exponents_check
+from .chebyshev import (
+    chebyshev_identities_check,
+    closed_form_check,
+    exponent_duality_holds,
+    exponents_catalog,
+    spectrum_exponents_check,
+)
 from .dynkin import FAMILIES
 from .errors import CheckFailure, DomainError
-from .groups import PAIR_N_MIN, PAIR_NAMES, NormalPair, normal_pair
+from .groups import PAIR_NAMES, PAIRS, NormalPair, normal_pair
 from .mckay import (
     characteristic_identity_check,
     eigenvector_check,
@@ -20,8 +26,6 @@ from .mckay import (
 )
 from .poincare import (
     DEFAULT_BRUTE_FORCE_BOUND,
-    MAIN_RELATION_PAIRS,
-    SPECIAL_RELATION_PAIRS,
     brute_force_series,
     corollary_relation_check,
     denominator_identity_check,
@@ -36,17 +40,6 @@ class CheckResult(Record):
     name: str
     ok: bool
     detail: str = ""
-
-
-EXPECTED_TYPES = {
-    "A2n-1^2": lambda n: (f"A_{2 * n - 1}^(2)", f"B_{n}^(1)"),
-    "Dn+1^2": lambda n: (f"D_{n + 1}^(2)", f"C_{n}^(1)"),
-    "A2n^2": lambda n: (f"A_{2 * n}^(2)", f"C_{n}^(1)"),
-    "E6^2": lambda n: ("E_6^(2)", "F_4^(1)"),
-    "D4^3": lambda n: ("D_4^(3)", "G_2^(1)"),
-    "A2^2": lambda n: ("A_2^(2)", "A_1^(1)"),
-    "S4A4": lambda n: ("unrecognized", "unrecognized"),
-}
 
 
 def _acc(*pairs) -> dict[str, int]:
@@ -345,7 +338,8 @@ def verify_pair(family_name: str, n: int | None = None, k_max: int = 12) -> list
     _check_k_max(k_max)
     if family_name not in PAIR_NAMES:
         raise DomainError(f"unknown pair {family_name!r}; choose from {PAIR_NAMES}")
-    if family_name in PAIR_N_MIN and n is None:
+    row = PAIRS[family_name]
+    if row.n_min is not None and n is None:
         raise DomainError(f"pair {family_name} requires n")
     pair = normal_pair(family_name, n)
     data = fusion_matrices(pair)
@@ -369,7 +363,8 @@ def verify_pair(family_name: str, n: int | None = None, k_max: int = 12) -> list
     )
     results.append(run_identity_fixtures(pair, family_name, n))
 
-    want_res, want_ind = EXPECTED_TYPES[family_name](n)
+    want_res, want_ind = row.types(n)
+    affine = want_res != "unrecognized"
     got_res = graph(data, "restriction").dynkin_type
     got_ind = graph(data, "induction").dynkin_type
     results.append(
@@ -379,7 +374,7 @@ def verify_pair(family_name: str, n: int | None = None, k_max: int = 12) -> list
             f"expected ({want_res}, {want_ind})",
         )
     )
-    if family_name != "S4A4":
+    if affine:
         results.append(_wrap(f"{px} null vectors", lambda: null_vector_check(data)))
     results.append(_wrap(f"{px} eigenvector structure", lambda: eigenvector_check(data)))
     results.append(
@@ -395,13 +390,13 @@ def verify_pair(family_name: str, n: int | None = None, k_max: int = 12) -> list
         )
     )
     results.append(_wrap(f"{px} invariants series equality", lambda: invariants_series_check(pair)))
-    if family_name in MAIN_RELATION_PAIRS + SPECIAL_RELATION_PAIRS:
+    if row.relation:
         results.append(
             _wrap(f"{px} index-correspondence relations", lambda: corollary_relation_check(pair))
         )
-    if family_name != "S4A4":
+    if affine:
         results.append(_wrap(f"{px} spectrum exponents", lambda: spectrum_exponents_check(data)))
-    if family_name in ("A2n-1^2", "Dn+1^2"):
+    if row.closed_form:
         results.append(_wrap(f"{px} closed-form invariants", lambda: closed_form_check(family_name, n)))
     for grp in (pair.G, pair.N):
         if grp.order <= 48:
@@ -450,11 +445,11 @@ def numeric_table_agreement(group) -> None:
 
 def default_pair_arguments(n_max: int = 8) -> list[tuple[str, int | None]]:
     out: list[tuple[str, int | None]] = []
-    for name in PAIR_NAMES:
-        if name in PAIR_N_MIN:
-            out.extend((name, n) for n in range(PAIR_N_MIN[name], n_max + 1))
-        else:
+    for name, row in PAIRS.items():
+        if row.n_min is None:
             out.append((name, None))
+        else:
+            out.extend((name, n) for n in range(row.n_min, n_max + 1))
     return out
 
 
@@ -463,8 +458,6 @@ def verify_all(n_max: int = 8, k_max: int = 12) -> list[CheckResult]:
     _check_k_max(k_max)
     if n_max < 2:
         raise DomainError(f"n_max must be at least 2, got {n_max}")
-    from .chebyshev import chebyshev_identities_check, exponent_duality_holds, exponents_catalog
-
     results: list[CheckResult] = []
     for name, n in default_pair_arguments(n_max):
         results.extend(verify_pair(name, n, k_max=k_max))

@@ -12,7 +12,7 @@ from mckay_slodowy.chebyshev import (
     spectrum_exponents_check,
 )
 from mckay_slodowy.cyclotomic import Cyclotomic, root_of_unity, sqrt2
-from mckay_slodowy.groups import family, normal_pair
+from mckay_slodowy.groups import PAIRS, family, normal_pair
 from mckay_slodowy.mckay import (
     eigenvector_check,
     fusion_matrices,
@@ -26,7 +26,7 @@ from mckay_slodowy.poincare import (
     series_recursion,
 )
 from mckay_slodowy.polynomials import IntPoly
-from mckay_slodowy.verify import EXPECTED_TYPES, run_identity_fixtures
+from mckay_slodowy.verify import run_identity_fixtures
 
 SECTION2_PAIRS = (
     [("A2n-1^2", n) for n in range(3, 9)]
@@ -127,7 +127,7 @@ def test_criterion_03_dynkin_identification():
     with criterion(3, "Dynkin identification for all pairs, n = minimum..8"):
         for name, n in SECTION2_PAIRS:
             data = fusion_matrices(normal_pair(name, n))
-            want = EXPECTED_TYPES[name](n)
+            want = PAIRS[name].types(n)
             got = (graph(data, "restriction").dynkin_type, graph(data, "induction").dynkin_type)
             assert got == want, f"{name} n={n}: {got} != {want}"
 
