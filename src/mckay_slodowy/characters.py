@@ -557,12 +557,12 @@ class Decomposed(Record):
 
 @cache
 def restrict(pair: NormalPair, chi: Character | ClassFunction) -> Decomposed:
-    """Pull a G-character back along the embedding of N."""
+    """Pull a G-character back along the embedding of N: its lifted columns at N's classes."""
     base = chi.base if isinstance(chi, Character) else chi
     if base.group is not pair.G:
         raise DomainError("character does not belong to the pair's big group")
-    values = [base.values[gc] for gc in pair.n_class_to_g_class]
-    f = ClassFunction(pair.N, values)
+    m, den, cols = base.lifted()
+    f = ClassFunction.from_lifted(pair.N, m, den, [cols[gc] for gc in pair.n_class_to_g_class])
     tbl = table(pair.N)
     return Decomposed(f, tbl.decompose(f), tbl)
 

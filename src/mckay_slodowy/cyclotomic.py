@@ -13,26 +13,11 @@ import cmath
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .linalg import solve_exact
 from .polynomials import IntPoly
 
 Rational = Fraction
-
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 @lru_cache(maxsize=None)
@@ -47,6 +32,13 @@ def prime_factors(n: int) -> tuple[int, ...]:
     if m > 1:
         out.append(m)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def euler_phi(n: int) -> int:
+    for p in prime_factors(n):
+        n -= n // p
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +79,8 @@ def reduce_mod_phi(n: int, coeffs: list) -> list:
 
 
 def _galois_apply(n: int, coeffs: tuple[Fraction, ...], k: int) -> list[Fraction]:
-    # zeta -> zeta^k, k coprime to n
+    # sum_j coeffs[j] zeta_n^(jk), reduced: for k coprime to n the automorphism
+    # zeta -> zeta^k, for k = n/d the embedding of coordinates at conductor d
     out = [Fraction(0)] * n
     for j, cj in enumerate(coeffs):
         if cj:
@@ -95,37 +88,32 @@ def _galois_apply(n: int, coeffs: tuple[Fraction, ...], k: int) -> list[Fraction
     return reduce_mod_phi(n, out)
 
 
-@lru_cache(maxsize=None)
-def _subfield_basis(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Images of the Q(zeta_d) power basis inside Q(zeta_n) (d | n)."""
-    step = n // d
-    cols = []
-    for i in range(euler_phi(d)):
-        vec = [Fraction(0)] * (i * step + 1)
-        vec[i * step] = Fraction(1)
-        cols.append(tuple(reduce_mod_phi(n, vec)))
-    return tuple(cols)
-
-
 def _lower_once(n: int, coeffs: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]] | None:
+    """(d, x's coordinates at d) for the first prime p of n with x in
+    Q(zeta_d), d = n/p, else None: x lies there when E = Tr/[Q(zeta_n):Q(zeta_d)]
+    (Washington, GTM 83, ch. 2) fixes it.  If p^2 | n, E keeps the coefficients
+    at multiples of p, x's coordinates at d; if p || n, E sends zeta_n^i to
+    w_i zeta_d^(iq), q = p^-1 mod d, w_i = 1 if p | i else -1/(p - 1)."""
     for p in prime_factors(n):
         d = n // p
-        fixed = True
-        for k in range(1 + d, n, d):
-            if gcd(k, n) == 1 and tuple(_galois_apply(n, coeffs, k)) != coeffs:
-                fixed = False
-                break
-        if not fixed:
+        if d % p == 0:
+            if not any(c for i, c in enumerate(coeffs) if i % p):
+                return d, coeffs[::p]
             continue
-        basis = _subfield_basis(n, d)
-        rows = [[basis[j][i] for j in range(len(basis))] for i in range(euler_phi(n))]
-        sol = solve_exact(rows, list(coeffs))
-        return d, tuple(sol)
+        q, w = pow(p, -1, d), Fraction(-1, p - 1)
+        y = [Fraction(0)] * d
+        for i, c in enumerate(coeffs):
+            if c:
+                y[i * q % d] += c if i % p == 0 else c * w
+        y = tuple(reduce_mod_phi(d, y))
+        if p == 2 or tuple(_galois_apply(n, y, p)) == coeffs:
+            return d, y
     return None
 
 
 @lru_cache(maxsize=1 << 18)
 def _canonical_cached(n: int, cur: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
+    # Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)): greedy steps end at the least conductor
     while n > 1:
         if all(c == 0 for c in cur[1:]):
             return 1, (cur[0],)
@@ -134,10 +122,6 @@ def _canonical_cached(n: int, cur: tuple[Fraction, ...]) -> tuple[int, tuple[Fra
             break
         n, cur = lowered
     return n, cur
-
-
-def _canonical(n: int, coeffs: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
-    return _canonical_cached(n, tuple(coeffs))
 
 
 # value-pair product cache; character values recur from a small set, so the
@@ -168,7 +152,7 @@ class Cyclotomic:
     @classmethod
     def _raw(cls, n: int, coeffs: list[Fraction]) -> "Cyclotomic":
         """Construct from reduced coefficients (length phi(n)); canonicalizes."""
-        return cls._canonical_form(*_canonical(n, coeffs))
+        return cls._canonical_form(*_canonical_cached(n, tuple(coeffs)))
 
     @classmethod
     def _canonical_form(cls, n: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
@@ -232,12 +216,7 @@ class Cyclotomic:
     # -- arithmetic ----------------------------------------------------
 
     def _embedded(self, m: int) -> list[Fraction]:
-        step = m // self.conductor
-        out = [Fraction(0)] * m
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[j * step] += c
-        return reduce_mod_phi(m, out)
+        return _galois_apply(m, self.coeffs, m // self.conductor)
 
     @staticmethod
     def _coerce(x) -> "Cyclotomic | None":
@@ -297,17 +276,17 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """The product of x's other Galois conjugates over its norm, down the
+        tower: x times its conjugates over Q(zeta_d), d = n/p for the first
+        prime p of n, is the relative norm, inverted in Q(zeta_d)."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero cyclotomic value")
         if self.is_rational():
             return Cyclotomic(1 / self.coeffs[0])
-        # solve x * y = 1: column j of the multiplication-by-x matrix is the
-        # reduced x * zeta_n^j
         n = self.conductor
-        deg = len(self.coeffs)
-        cols = [reduce_mod_phi(n, [Fraction(0)] * j + list(self.coeffs)) for j in range(deg)]
-        rows = [[col[i] for col in cols] for i in range(deg)]
-        return Cyclotomic._raw(n, solve_exact(rows, [1] + [0] * (deg - 1)))
+        d = n // prime_factors(n)[0]
+        others = prod((self.galois(k) for k in range(1 + d, n, d) if gcd(k, n) == 1), start=Cyclotomic(1))
+        return others * (self * others).inverse()
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -338,7 +317,8 @@ class Cyclotomic:
         n = self.conductor
         if gcd(k, n) != 1:
             raise ValueError(f"{k} is not coprime to conductor {n}")
-        return Cyclotomic._raw(n, _galois_apply(n, self.coeffs, k % n))
+        # a conjugate generates the same field, so it keeps the conductor
+        return Cyclotomic._canonical_form(n, tuple(_galois_apply(n, self.coeffs, k % n)))
 
     def conj(self) -> "Cyclotomic":
         if self.conductor == 1:

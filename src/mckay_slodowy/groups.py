@@ -520,11 +520,18 @@ def _checked_row(rows: dict, kind: str, name: str, n: int | None, subject: str):
     return row
 
 
+def _checked_n(n):
+    # checked before the memoised lookup, where 4.0 would find the entry for 4
+    if n is None or type(n) is int:
+        return n
+    raise DomainError(f"n must be an integer, not {n!r}")
+
+
 def family(name: str, n: int | None = None, max_order: int | None = None) -> FiniteGroup:
     """One of the named group families, with conjugacy class representatives
     ordered to match its character table columns.  Results are shared
     (memoized) per parameter set and effective order bound."""
-    return _family_cached(name, n, _max_order(max_order))
+    return _family_cached(name, _checked_n(n), _max_order(max_order))
 
 
 @cache
@@ -655,7 +662,7 @@ PAIR_N_MIN = {name: row.n_min for name, row in PAIRS.items() if row.n_min is not
 def normal_pair(name: str, n: int | None = None, max_order: int | None = None) -> NormalPair:
     """One of the distinguished pairs N < G, with the standard embeddings.
     Results are shared (memoized) per parameter set and effective order bound."""
-    return _normal_pair_cached(name, n, _max_order(max_order))
+    return _normal_pair_cached(name, _checked_n(n), _max_order(max_order))
 
 
 @cache

@@ -16,7 +16,7 @@ from .cyclotomic import Cyclotomic, reduce_mod_phi, root_sum
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
 from .linalg import rank, solve_exact
-from .polynomials import IntPoly, char_poly
+from .polynomials import IntPoly, faddeev_leverrier
 from .record import Record
 
 
@@ -377,16 +377,31 @@ def one_minus_product(values) -> list[int]:
     return [c.to_integer() for c in coeffs]
 
 
+@cache
+def character_product(pair: NormalPair, V: Character) -> tuple[int, ...]:
+    """prod over Upsilon(N) of (1 - chi_V(g) t), untrimmed, once per (pair, V)."""
+    return tuple(one_minus_product([V.values[gc] for gc in pair.upsilonN]))
+
+
+@cache
+def side_recurrence(data: FusionData, side: str) -> tuple[tuple[int, ...], tuple[IntPoly, ...]]:
+    """The side's one faddeev_leverrier run, on M^T: det(I - tM^T) untrimmed
+    (reversed, det(tI - M)), and column 0 of adj(I - tM^T) per vertex."""
+    M = data.A if side == "restriction" else data.B
+    coeffs, mats = faddeev_leverrier([list(col) for col in zip(*M)])
+    return tuple(coeffs), tuple(IntPoly([B[v][0] for B in mats]) for v in range(len(M)))
+
+
 def characteristic_identity_check(data: FusionData):
     """char(A) == char(B) == prod over Upsilon(N) of (t - chi_V(g)), exactly."""
-    pa = char_poly([list(r) for r in data.A])
-    pb = char_poly([list(r) for r in data.B])
+    pa = IntPoly(side_recurrence(data, "restriction")[0][::-1])
+    pb = IntPoly(side_recurrence(data, "induction")[0][::-1])
     if pa != pb:
         raise CheckFailure(
             f"characteristic polynomials differ: {pa} vs {pb}"
         )
     # prod (t - v) is prod (1 - v t) with its coefficients reversed
-    prod = IntPoly(one_minus_product(data.v_values_on_upsilon())[::-1])
+    prod = IntPoly(character_product(data.pair, data.V)[::-1])
     if pa != prod:
         raise CheckFailure(
             f"char poly {pa} differs from the eigenvalue product {prod}"

@@ -9,15 +9,14 @@ from __future__ import annotations
 import threading
 from collections import deque
 from fractions import Fraction
-from functools import cache
 from itertools import islice
 from operator import mul
 
-from .characters import Character, ClassFunction, table
+from .characters import Character, ClassFunction, restrict, table
 from .errors import CheckFailure, DomainError
 from .groups import PAIRS, NormalPair
-from .mckay import FusionData, default_module, fusion_matrices, one_minus_product
-from .polynomials import IntPoly, faddeev_leverrier, poly_gcd
+from .mckay import FusionData, character_product, default_module, fusion_matrices, side_recurrence
+from .polynomials import IntPoly, poly_gcd
 from .record import Record
 
 SIDES = ("restriction", "induction")
@@ -136,23 +135,13 @@ def series_cramer(data: FusionData, side: str, vertex: int) -> RationalSeries:
     """Closed form by Cramer's rule on (I - tM^T) c = e_0: the numerator is
     det of (I - tM^T) with the vertex column replaced by the unit vector,
     i.e. entry (vertex, 0) of adj(I - tM^T), over det(I - tM^T).  Both come
-    from the side's one Faddeev-LeVerrier adjugate (_cramer_forms)."""
+    from the side's one Faddeev-LeVerrier run (mckay.side_recurrence)."""
     M = _side_matrix(data, side)
     k = len(M)
     if not 0 <= vertex < k:
         raise DomainError(f"vertex {vertex} out of range for size {k}")
-    den, numerators = _cramer_forms(data, side)
-    return RationalSeries(numerators[vertex], den)
-
-
-@cache
-def _cramer_forms(data: FusionData, side: str) -> tuple[IntPoly, tuple[IntPoly, ...]]:
-    """(det(I - tM^T), column 0 of adj(I - tM^T) as one polynomial per
-    vertex) for one side, from one Faddeev-LeVerrier recurrence with A = M^T."""
-    M = _side_matrix(data, side)
-    coeffs, mats = faddeev_leverrier([list(col) for col in zip(*M)])
-    numerators = tuple(IntPoly([B[v][0] for B in mats]) for v in range(len(M)))
-    return IntPoly(coeffs), numerators
+    den, numerators = side_recurrence(data, side)
+    return RationalSeries(numerators[vertex], IntPoly(den))
 
 
 def denominator_product(pair: NormalPair, V: Character | None = None) -> IntPoly:
@@ -161,7 +150,7 @@ def denominator_product(pair: NormalPair, V: Character | None = None) -> IntPoly
     if V is None:
         V = default_module(pair)
     _require_self_dual(V)
-    return IntPoly(one_minus_product([V.values[gc] for gc in pair.upsilonN]))
+    return IntPoly(character_product(pair, V))
 
 
 def _require_self_dual(V: Character) -> None:
@@ -176,8 +165,8 @@ def denominator_identity_check(pair: NormalPair, V: Character | None = None) -> 
     if V is None:
         V = default_module(pair)
     data = fusion_matrices(pair, V)
-    det_a = _cramer_forms(data, "restriction")[0]
-    det_b = _cramer_forms(data, "induction")[0]
+    det_a = IntPoly(side_recurrence(data, "restriction")[0])
+    det_b = IntPoly(side_recurrence(data, "induction")[0])
     prod = denominator_product(pair, V)
     if det_a != det_b:
         raise CheckFailure(f"det(I-tA^T) = {det_a} differs from det(I-tB^T) = {det_b}")
@@ -225,15 +214,13 @@ def _brute_force_side(data: FusionData, side: str):
     """(the side's table, the powers chi_V^0, chi_V^1, ... on its group as
     lifted class functions, constituent multiplicities of each basis member)."""
     _require_self_dual(data.V)
-    pair = data.pair
     if side == "restriction":
-        chi_v = [data.V.values[gc] for gc in pair.n_class_to_g_class]
-        group, mult_vectors = pair.N, data.rbasis.mult_vectors
+        chi_v, mult_vectors = restrict(data.pair, data.V).function, data.rbasis.mult_vectors
     elif side == "induction":
-        chi_v, group, mult_vectors = data.V.values, pair.G, data.ibasis.mult_vectors
+        chi_v, mult_vectors = data.V.base, data.ibasis.mult_vectors
     else:
         raise DomainError(f"side must be one of {SIDES}")
-    return table(group), _powers(ClassFunction(group, chi_v)), mult_vectors
+    return table(chi_v.group), _powers(chi_v), mult_vectors
 
 
 def _powers(chi: ClassFunction):

@@ -1,10 +1,22 @@
-"""Value-level kernels kept as test oracles.  The library pairs, induces and
-multiplies lifted class functions; these work on `Cyclotomic` values one at
-a time, so the lifted paths are checked against an independent one."""
+"""Kernels kept as test oracles.  The library pairs, induces and multiplies
+lifted class functions; the value kernels work on `Cyclotomic` values one at
+a time, so the lifted paths are checked against an independent one.  The
+library lowers a value by one projection per prime and inverts by the Galois
+norm; the Galois-orbit lowering and the linear-solve inverse it replaced are
+kept here as the independent path."""
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import gcd, lcm
 
-from mckay_slodowy.cyclotomic import Cyclotomic, root_sum
+from mckay_slodowy.cyclotomic import (
+    Cyclotomic,
+    _galois_apply,
+    euler_phi,
+    prime_factors,
+    reduce_mod_phi,
+    root_sum,
+)
+from mckay_slodowy.linalg import solve_exact
 
 
 def _integral(c):
@@ -54,3 +66,59 @@ def linear_combination(weights, xs) -> Cyclotomic:
         for j, c in x.terms():
             acc[j * step] += w * c
     return root_sum(m, acc)
+
+
+@cache
+def _subfield_basis(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Images of the Q(zeta_d) power basis inside Q(zeta_n) (d | n)."""
+    step = n // d
+    cols = []
+    for i in range(euler_phi(d)):
+        vec = [Fraction(0)] * (i * step + 1)
+        vec[i * step] = Fraction(1)
+        cols.append(tuple(reduce_mod_phi(n, vec)))
+    return tuple(cols)
+
+
+def _orbit_lower_once(n: int, coeffs: tuple[Fraction, ...]):
+    """(d, coordinates at d) for the first prime p of n whose subfield
+    Q(zeta_d), d = n/p, is fixed pointwise by every automorphism fixing
+    zeta_d, tested on x itself; the coordinates come from a linear solve in
+    the subfield's basis.  None when no such p exists."""
+    for p in prime_factors(n):
+        d = n // p
+        if any(
+            gcd(k, n) == 1 and tuple(_galois_apply(n, coeffs, k)) != coeffs
+            for k in range(1 + d, n, d)
+        ):
+            continue
+        basis = _subfield_basis(n, d)
+        rows = [[col[i] for col in basis] for i in range(euler_phi(n))]
+        return d, tuple(solve_exact(rows, list(coeffs)))
+    return None
+
+
+def orbit_canonical(n: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
+    """The minimal conductor and coordinates of sum_j coeffs[j] zeta_n^j
+    (coeffs reduced modulo Phi_n), lowered through the Galois-fixed subfields."""
+    cur = tuple(coeffs)
+    while n > 1:
+        if all(c == 0 for c in cur[1:]):
+            return 1, (cur[0],)
+        lowered = _orbit_lower_once(n, cur)
+        if lowered is None:
+            break
+        n, cur = lowered
+    return n, cur
+
+
+def solve_inverse(x: Cyclotomic) -> Cyclotomic:
+    """x^-1 by solving x * y = 1: column j of the multiplication-by-x matrix
+    is the reduced x * zeta_n^j."""
+    if x.is_rational():
+        return Cyclotomic(1 / x.to_rational())
+    n = x.conductor
+    deg = len(x.coeffs)
+    cols = [reduce_mod_phi(n, [Fraction(0)] * j + list(x.coeffs)) for j in range(deg)]
+    rows = [[col[i] for col in cols] for i in range(deg)]
+    return Cyclotomic._canonical_form(*orbit_canonical(n, solve_exact(rows, [1] + [0] * (deg - 1))))

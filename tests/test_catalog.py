@@ -137,3 +137,28 @@ def test_closed_form_check_names_a_missing_n():
     # a missing n once reached `n < 3` and raised TypeError
     with pytest.raises(DomainError, match=r"^A2n-1\^2 requires n >= 3$"):
         closed_form_check("A2n-1^2", None)
+
+
+@pytest.mark.parametrize("build,name,n", [
+    (family, "cyclic", 11),
+    (family, "binary_dihedral", 11),
+    (normal_pair, "Dn+1^2", 7),
+    (normal_pair, "A2n^2", 7),
+])
+def test_a_non_integer_n_is_a_domain_error_cold_and_warm(build, name, n):
+    # n is checked before the memoised lookup: a float equal to a cached n
+    # used to return the cached result, an uncached one raised TypeError deep
+    # in the closure, and a string raised TypeError at `n < n_min`
+    bad = (float(n), n + 0.5, str(n), True)
+    for state in ("cold", "warm"):
+        for value in bad:
+            with pytest.raises(DomainError) as exc:
+                build(name, value)
+            assert str(exc.value) == f"n must be an integer, not {value!r}", state
+        build(name, n)
+
+
+@pytest.mark.parametrize("name,n", [("A2n^2", 2.0), ("Dn+1^2", "3"), ("A2n-1^2", 3.5)])
+def test_verify_pair_rejects_a_non_integer_n(name, n):
+    with pytest.raises(DomainError, match="^n must be an integer, not "):
+        verify_pair(name, n)

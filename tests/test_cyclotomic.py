@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from mckay_slodowy.cyclotomic import (
     Cyclotomic,
+    _canonical_cached,
     cyclotomic_polynomial,
     euler_phi,
     reduce_mod_phi,
@@ -19,7 +21,7 @@ from mckay_slodowy.cyclotomic import (
     unlift,
 )
 
-from oracles import linear_combination, weighted_dot
+from oracles import linear_combination, orbit_canonical, solve_inverse, weighted_dot
 
 
 def brute_product_mod_phi8(a, b):
@@ -298,24 +300,17 @@ def test_weighted_dot_accepts_rationals():
     assert weighted_dot([], [], []) == 0
 
 
-def galois_norm_inverse(x):
-    """Oracle for Cyclotomic.inverse: x^-1 = (prod of the other Galois
-    conjugates) / N(x), the norm N(x) being a nonzero rational."""
-    n = x.conductor
-    others = Cyclotomic(1)
-    for k in range(2, n):
-        if math.gcd(k, n) == 1:
-            others = others * x.galois(k)
-    return others * (1 / (x * others).to_rational())
-
-
 @settings(max_examples=40, deadline=None)
 @given(field_values(), field_values())
 def test_inverse_matches_the_galois_norm_product(x, y):
+    # the library inverts by the Galois norm, the oracle by a linear solve
     x = x * y + x
     if x.is_zero():
         return
-    assert x.inverse() == galois_norm_inverse(x)
+    inv = x.inverse()
+    assert _same(inv, solve_inverse(x))
+    assert all(type(c) is Fraction for c in inv.coeffs)
+    assert x * inv == 1
 
 
 def _same(a, b):
@@ -363,19 +358,40 @@ def _root_cases(m):
 
 @pytest.mark.parametrize("m", range(1, 201))
 def test_roots_of_unity_are_built_in_canonical_form(m):
-    # root_of_unity and unlift build +-zeta_m^k directly; _raw lowers the
-    # reduced vector of x^k step by step through the Galois-fixed subfields
+    # root_of_unity and unlift build +-zeta_m^k directly; the oracle lowers
+    # the reduced vector of x^k step by step through the Galois-fixed subfields
     for k in _root_cases(m):
         x_k = [0] * (k + 1)
         x_k[k] = 1
         vec = [int(c) for c in reduce_mod_phi(m, x_k)]
         for sign in (1, -1):
-            want = Cyclotomic._raw(m, [Fraction(sign * c) for c in vec])
+            want = Cyclotomic._canonical_form(*orbit_canonical(m, [Fraction(sign * c) for c in vec]))
             signed = [sign * c for c in vec]
             for got in (sign * root_of_unity(m, k), root_of_unity(m, k + m) * sign,
                         unlift(m, 1, signed), unlift(m, 3, [3 * c for c in signed])):
                 assert _same(got, want), (m, k, sign)
                 assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def _subfield_value(n, d, rng):
+    """A random value of Q(zeta_d), d | n, on the power basis at conductor n."""
+    vec = [Fraction(0)] * n
+    for j in range(euler_phi(d)):
+        vec[j * (n // d)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return tuple(reduce_mod_phi(n, vec))
+
+
+@pytest.mark.parametrize("n", [*range(1, 121), *random.Random(0).sample(range(121, 301), 12)])
+def test_lowering_matches_the_galois_orbit_oracle(n):
+    # a value from each divisor's subfield, and one with every coefficient
+    # nonzero, which lies in no proper subfield unless n = 2 mod 4
+    rng = random.Random(n)
+    values = [_subfield_value(n, d, rng) for d in range(1, n + 1) if n % d == 0]
+    values.append(tuple(Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)) for _ in range(euler_phi(n))))
+    for coeffs in values:
+        got = _canonical_cached.__wrapped__(n, coeffs)
+        assert got == orbit_canonical(n, coeffs), coeffs
+        assert all(type(c) is Fraction for c in got[1])
 
 
 def test_unlift_of_other_values_matches_raw():

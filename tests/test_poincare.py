@@ -7,8 +7,11 @@ from mckay_slodowy.characters import table
 from mckay_slodowy.cyclotomic import Cyclotomic
 from mckay_slodowy.errors import DomainError
 from mckay_slodowy.groups import normal_pair
-from mckay_slodowy.mckay import fusion_matrices
+from mckay_slodowy import mckay
+from mckay_slodowy.chebyshev import spectrum_exponents_check
+from mckay_slodowy.mckay import characteristic_identity_check, default_module, fusion_matrices
 from mckay_slodowy.poincare import (
+    SIDES,
     RationalSeries,
     brute_force_multiplicity,
     brute_force_series,
@@ -342,3 +345,20 @@ def test_generic_pair_has_no_index_correspondence_relations():
     assert p.family is None
     with pytest.raises(DomainError, match="only stated for"):
         corollary_relation_check(p)
+
+
+def test_a_fresh_fusion_datum_runs_faddeev_leverrier_once_per_side(monkeypatch):
+    # the characteristic identity (from verify_pair and from the spectrum
+    # check) and every closed form read one memoised run per side
+    runs = []
+    real = mckay.faddeev_leverrier
+    monkeypatch.setattr(mckay, "faddeev_leverrier", lambda mat: runs.append(mat) or real(mat))
+    pair = normal_pair("Dn+1^2", 3)
+    data = mckay._fusion_matrices.__wrapped__(pair, default_module(pair))  # outside the memo
+    for _ in range(2):
+        characteristic_identity_check(data)
+        spectrum_exponents_check(data)
+        for side in SIDES:
+            for vertex in range(data.size):
+                series_cramer(data, side, vertex)
+    assert len(runs) == 2
