@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import dynkin
 from .cyclotomic import root_of_unity
 from .errors import CheckFailure, DomainError
-from .groups import PAIRS, NormalPair, normal_pair
+from .groups import PAIRS, NormalPair, _checked_n, normal_pair
 from .mckay import (
     FusionData,
     characteristic_identity_check,
@@ -203,7 +203,7 @@ def closed_form_check(family_name: str, n: int) -> ClosedFormReport:
     if row is None or row.closed_form is None:
         stated = " and ".join(name for name, r in PAIRS.items() if r.closed_form)
         raise DomainError(f"closed forms are stated for {stated}")
-    if n is None or n < row.n_min:
+    if _checked_n(n) is None or n < row.n_min:
         raise DomainError(f"{family_name} requires n >= {row.n_min}")
     depth = row.closed_form(n)
     pair = normal_pair(family_name, n)

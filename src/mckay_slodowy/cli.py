@@ -19,7 +19,7 @@ from .characters import table, table_numeric
 from .chebyshev import chebyshev, exponents_catalog
 from .errors import CheckFailure, DomainError
 from .groups import FAMILY_NAMES, PAIR_NAMES, family, normal_pair
-from .mckay import fusion_matrices, graph
+from .mckay import SIDES, fusion_matrices, graph
 from .poincare import DEFAULT_BRUTE_FORCE_BOUND, series_cramer, series_recursion
 from .verify import summarize, verify_all, verify_pair
 
@@ -27,6 +27,7 @@ USAGE_EXIT = 64
 # a bound on time: U_2000 takes about 2 s, U_4000 about 8.5 s
 MAX_CHEBYSHEV_DEGREE = 2000
 PAIR_ACTIONS = ("show", "poincare")
+_SIDE_NAMES = {"res": "restriction", "ind": "induction"}
 
 _UNICODE_MAP = [
     ("delta", "δ"),
@@ -102,7 +103,7 @@ def _build_parser() -> _Parser:
     pr.add_argument("name", choices=PAIR_NAMES)
     pr.add_argument("action", nargs="?", default=None, choices=PAIR_ACTIONS)
     pr.add_argument("--n", type=int, default=None)
-    pr.add_argument("--side", choices=("res", "ind"), default="res")
+    pr.add_argument("--side", choices=_SIDE_NAMES, default="res")
     pr.add_argument("--vertex", type=int, default=0)
     pr.add_argument("--terms", type=_positive_int, default=10)
     pr.add_argument("--closed-form", action="store_true")
@@ -113,7 +114,7 @@ def _build_parser() -> _Parser:
     po = sub.add_parser("poincare", help="multiplicity series of a pair vertex")
     po.add_argument("--pair", required=True, choices=PAIR_NAMES)
     po.add_argument("--n", type=int, default=None)
-    po.add_argument("--side", choices=("res", "ind"), default="res")
+    po.add_argument("--side", choices=_SIDE_NAMES, default="res")
     po.add_argument("--vertex", type=int, default=0)
     po.add_argument("--terms", type=_positive_int, default=10)
     po.add_argument("--closed-form", action="store_true")
@@ -190,8 +191,8 @@ def _cmd_chartable(args) -> int:
 
 def _pair_payload(data, unicode_labels: bool) -> dict:
     payload = data.to_json()
-    payload["dynkin_restriction"] = graph(data, "restriction").dynkin_type
-    payload["dynkin_induction"] = graph(data, "induction").dynkin_type
+    for side in SIDES:
+        payload[f"dynkin_{side}"] = graph(data, side).dynkin_type
     if unicode_labels:
         payload["restriction_labels"] = [_unicodify(x) for x in payload["restriction_labels"]]
         payload["induction_labels"] = [_unicodify(x) for x in payload["induction_labels"]]
@@ -211,8 +212,7 @@ def _cmd_pair(args) -> int:
             args.json,
         )
     if args.dot:
-        side = "restriction" if args.side == "res" else "induction"
-        print(graph(data, side).to_dot())
+        print(graph(data, _SIDE_NAMES[args.side]).to_dot())
         return 0
     if args.json:
         _emit_json(_pair_payload(data, args.unicode))
@@ -229,9 +229,8 @@ def _cmd_pair(args) -> int:
 
 
 def _poincare_output(data, side, vertex, terms, closed_form, as_json) -> int:
-    side_name = "restriction" if side == "res" else "induction"
-    series = series_cramer(data, side_name, vertex)
-    coeffs = series_recursion(data, side_name, vertex, max(terms - 1, 0))
+    series = series_cramer(data, _SIDE_NAMES[side], vertex)
+    coeffs = series_recursion(data, _SIDE_NAMES[side], vertex, max(terms - 1, 0))
     payload = {"coefficients": coeffs}
     if closed_form:
         payload.update(series.to_json())

@@ -358,13 +358,19 @@ class Cyclotomic:
         if self.is_rational():
             return str(self.coeffs[0])
         n = self.conductor
-        for k in range(1, n):
-            q = self * root_of_unity(n, -k)
-            if q.is_rational():
-                r = q.to_rational()
-                head = "" if r == 1 else ("-" if r == -1 else f"{r}*")
-                power = f"z{n}" + (f"^{k}" if k > 1 else "")
-                return head + power
+        # r*zeta_n^k has coordinates |r| times a primitive integer vector (a
+        # unit's), so divide by the content and look the vector and its
+        # negative up; for even n both hit, and the smaller k is shown
+        den = lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        g = gcd(*ints)
+        exponents = _root_exponents(n)
+        hits = [(exponents[u], s) for s in (1, -1) if (u := tuple(s * c // g for c in ints)) in exponents]
+        if hits:
+            k, s = min(hits)
+            r = Fraction(s * g, den)
+            head = "" if r == 1 else ("-" if r == -1 else f"{r}*")
+            return head + f"z{n}" + (f"^{k}" if k > 1 else "")
         parts = []
         for j, c in enumerate(self.coeffs):
             if c == 0:

@@ -1,8 +1,7 @@
-"""Small exact linear algebra over the rationals: one fraction-free
-elimination in integers behind both `rank` and `solve_exact`."""
+"""Small exact linear algebra over the rationals: the rank of a matrix, by
+one fraction-free elimination in integers."""
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -46,22 +45,3 @@ def _eliminate(rows) -> tuple[list[list[int]], list[int]]:
 def rank(rows) -> int:
     return len(_eliminate(rows)[1])
 
-
-def solve_exact(rows, rhs) -> list[Fraction]:
-    """Solve A x = b exactly.  A may have more rows than columns; the system
-    must be consistent and determine x uniquely, else ValueError.
-
-    The augmented matrix goes through the integer elimination; Fractions
-    appear only in the back substitution."""
-    n = len(rows[0])
-    aug, pivots = _eliminate([*row, b] for row, b in zip(rows, rhs))
-    if n in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < n:
-        raise ValueError("underdetermined linear system")
-    # pivots == [0, ..., n-1]: rows 0..n-1 are upper triangular
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        row = aug[i]
-        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n) if row[j])) / Fraction(row[i])
-    return x

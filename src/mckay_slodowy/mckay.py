@@ -5,6 +5,7 @@ in the affine catalog, null vectors and eigenvector structure.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from operator import mul
@@ -15,9 +16,11 @@ from .characters import Character, ClassFunction, induce, restrict, table
 from .cyclotomic import Cyclotomic, reduce_mod_phi, root_sum
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
-from .linalg import rank, solve_exact
+from .linalg import rank
 from .polynomials import IntPoly, faddeev_leverrier
 from .record import Record
+
+SIDES = ("restriction", "induction")
 
 
 class Basis(Record):
@@ -110,14 +113,10 @@ def induction_basis(pair: NormalPair) -> InductionBasis:
     members, origins = _distinct(pair, [induce(pair, phi) for phi in nt], "inductions")
     # order by the bijection f(check rho_i) = hat phi_k for any constituent
     # phi_k of check rho_i; all constituents must induce to one member
+    member_of = {ni: mi for mi, orig in enumerate(origins) for ni in orig}
     order: list[int] = []
     for i, rvec in enumerate(rbasis.mult_vectors):
-        targets = set()
-        for ni, m in enumerate(rvec):
-            if m:
-                for mi, orig in enumerate(origins):
-                    if ni in orig:
-                        targets.add(mi)
+        targets = {member_of[ni] for ni, m in enumerate(rvec) if m}
         if len(targets) != 1:
             raise CheckFailure(
                 f"restriction member {i} has constituents inducing to {len(targets)} members"
@@ -149,6 +148,15 @@ class FusionData(Record):
     @property
     def size(self) -> int:
         return len(self.A)
+
+    def side(self, name: str) -> tuple[tuple[tuple[int, ...], ...], Basis, ClassFunction]:
+        """(fusion matrix, basis, chi_V on the basis members' group) of one
+        side: (A, rbasis, Res chi_V) or (B, ibasis, chi_V)."""
+        if name == "restriction":
+            return self.A, self.rbasis, restrict(self.pair, self.V).function
+        if name == "induction":
+            return self.B, self.ibasis, self.V.base
+        raise DomainError(f"side must be one of {SIDES}")
 
     @property
     def cartanA(self) -> tuple[tuple[int, ...], ...]:
@@ -185,13 +193,20 @@ def _cartan(A) -> tuple[tuple[int, ...], ...]:
 
 
 def _solve_in_basis(vectors, target) -> tuple[int, ...]:
-    """Write target as an integer combination of the (independent) vectors."""
-    sol = solve_exact(list(zip(*vectors)), target)
+    """Write target as a non-negative integer combination of a basis's
+    (independent) multiplicity vectors.  By Clifford's theorem distinct
+    restrictions, and distinct inductions, have disjoint constituents: each
+    coefficient is one exact division at its vector's first constituent, and
+    the combination is then checked in full."""
     out = []
-    for c in sol:
-        if c.denominator != 1 or c < 0:
-            raise CheckFailure(f"fusion coefficient {c} is not a non-negative integer")
-        out.append(int(c))
+    for vec in vectors:
+        i = next(i for i, m in enumerate(vec) if m)
+        c, r = divmod(target[i], vec[i])
+        if r or c < 0:
+            raise CheckFailure(f"fusion coefficient {Fraction(target[i], vec[i])} is not a non-negative integer")
+        out.append(c)
+    if any(sum(map(mul, row, out)) != t for row, t in zip(zip(*vectors), target)):
+        raise CheckFailure(f"multiplicities {tuple(target)} are not a combination of the basis")
     return tuple(out)
 
 
@@ -218,12 +233,9 @@ def fusion_matrices(pair: NormalPair, V: Character | None = None) -> FusionData:
 def _fusion_matrices(pair: NormalPair, V: Character) -> FusionData:
     rbasis = restriction_basis(pair)
     ibasis = induction_basis(pair)
-    sides = (
-        (rbasis, restrict(pair, V).function, table(pair.N)),
-        (ibasis, V.base, table(pair.G)),
-    )
     mats = []
-    for basis, v, tbl in sides:
+    for basis, v in ((rbasis, restrict(pair, V).function), (ibasis, V.base)):
+        tbl = table(v.group)
         # column j: V tensor member j, written in the basis
         cols = [_solve_in_basis(basis.mult_vectors, tbl.decompose(v * f)) for f in basis.members]
         mats.append(tuple(zip(*cols)))
@@ -265,10 +277,7 @@ class RepresentationGraph(Record):
 
 def graph(data: FusionData, side: str = "restriction") -> RepresentationGraph:
     """Representation graph of one side, identified against the affine catalog."""
-    if side not in ("restriction", "induction"):
-        raise DomainError("side must be 'restriction' or 'induction'")
-    M = data.A if side == "restriction" else data.B
-    basis = data.rbasis if side == "restriction" else data.ibasis
+    M, basis, _ = data.side(side)
     k = len(M)
     edges = []
     for i in range(k):
@@ -387,7 +396,7 @@ def character_product(pair: NormalPair, V: Character) -> tuple[int, ...]:
 def side_recurrence(data: FusionData, side: str) -> tuple[tuple[int, ...], tuple[IntPoly, ...]]:
     """The side's one faddeev_leverrier run, on M^T: det(I - tM^T) untrimmed
     (reversed, det(tI - M)), and column 0 of adj(I - tM^T) per vertex."""
-    M = data.A if side == "restriction" else data.B
+    M = data.side(side)[0]
     coeffs, mats = faddeev_leverrier([list(col) for col in zip(*M)])
     return tuple(coeffs), tuple(IntPoly([B[v][0] for B in mats]) for v in range(len(M)))
 
@@ -423,7 +432,8 @@ def eigenvector_check(data: FusionData) -> list[Cyclotomic]:
     d = data.V.degree
     v_m, v_den, v_cols = data.V.base.lifted()
     sides = []
-    for side, M, basis in (("restriction", data.A, data.rbasis), ("induction", data.B, data.ibasis)):
+    for side in SIDES:
+        M, basis, _ = data.side(side)
         forms = [f.lifted() for f in basis.members]
         m = lcm(v_m, *(f_m for f_m, _, _ in forms))
         den = lcm(*(f_den for _, f_den, _ in forms))

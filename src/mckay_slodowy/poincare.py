@@ -9,25 +9,24 @@ from __future__ import annotations
 import threading
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from operator import mul
 
-from .characters import Character, ClassFunction, restrict, table
+from .characters import Character, ClassFunction, table
 from .errors import CheckFailure, DomainError
 from .groups import PAIRS, NormalPair
-from .mckay import FusionData, character_product, default_module, fusion_matrices, side_recurrence
+# SIDES is re-exported: the side names the series functions take
+from .mckay import SIDES, FusionData, character_product, default_module, fusion_matrices, side_recurrence
 from .polynomials import IntPoly, poly_gcd
 from .record import Record
 
-SIDES = ("restriction", "induction")
-
 
 def _side_matrix(data: FusionData, side: str):
-    if side not in SIDES:
-        raise DomainError(f"side must be one of {SIDES}")
+    M = data.side(side)[0]
     # the series identities need Hom(-, V ox W) = Hom(V ox -, W), i.e. V = V*
     _require_self_dual(data.V)
-    return data.A if side == "restriction" else data.B
+    return M
 
 
 class RationalSeries:
@@ -153,7 +152,9 @@ def denominator_product(pair: NormalPair, V: Character | None = None) -> IntPoly
     return IntPoly(character_product(pair, V))
 
 
+@cache
 def _require_self_dual(V: Character) -> None:
+    """Raise unless V = V*; once per V (a failed check is not memoised)."""
     if any(v != v.conj() for v in V.values):
         raise DomainError(
             f"module {V.label} is not self-dual (character is not real-valued)"
@@ -214,13 +215,8 @@ def _brute_force_side(data: FusionData, side: str):
     """(the side's table, the powers chi_V^0, chi_V^1, ... on its group as
     lifted class functions, constituent multiplicities of each basis member)."""
     _require_self_dual(data.V)
-    if side == "restriction":
-        chi_v, mult_vectors = restrict(data.pair, data.V).function, data.rbasis.mult_vectors
-    elif side == "induction":
-        chi_v, mult_vectors = data.V.base, data.ibasis.mult_vectors
-    else:
-        raise DomainError(f"side must be one of {SIDES}")
-    return table(chi_v.group), _powers(chi_v), mult_vectors
+    _, basis, chi_v = data.side(side)
+    return table(chi_v.group), _powers(chi_v), basis.mult_vectors
 
 
 def _powers(chi: ClassFunction):

@@ -18,6 +18,7 @@ from .dynkin import FAMILIES
 from .errors import CheckFailure, DomainError
 from .groups import PAIR_NAMES, PAIRS, NormalPair, normal_pair
 from .mckay import (
+    SIDES,
     characteristic_identity_check,
     eigenvector_check,
     fusion_matrices,
@@ -296,6 +297,7 @@ def identity_fixtures(family_name: str, n: int | None) -> list[tuple]:
 def run_identity_fixtures(pair: NormalPair, family_name: str, n: int | None) -> CheckResult:
     data = fusion_matrices(pair)
     gt, nt = table(pair.G), table(pair.N)
+    fusion_sides = dict(zip(("fuse_res", "fuse_ind"), SIDES))
     failures = []
     for record in identity_fixtures(family_name, n):
         kind, source, expected = record
@@ -304,8 +306,8 @@ def run_identity_fixtures(pair: NormalPair, family_name: str, n: int | None) -> 
                 got = restrict(pair, gt[source]).as_label_dict()
             elif kind == "induce":
                 got = induce(pair, nt[source]).as_label_dict()
-            elif kind in ("fuse_res", "fuse_ind"):
-                basis, M = (data.rbasis, data.A) if kind == "fuse_res" else (data.ibasis, data.B)
+            elif kind in fusion_sides:
+                M, basis, _ = data.side(fusion_sides[kind])
                 # a member by the origin in its label: "check(rho)" -> "rho"
                 origin = [lbl.partition("(")[2][:-1] for lbl in basis.labels]
                 j = basis.index_of_origin(source)
@@ -421,7 +423,7 @@ def triple_equivalence_check(data, k_max: int) -> None:
     matrix recurrence and its traces; the brute force decomposes chi_V^k into
     irreducibles once per k and dots the multiplicities with each vertex's
     constituent vector."""
-    for side in ("restriction", "induction"):
+    for side in SIDES:
         brute_side = brute_force_series(data, side, k_max)
         for vertex in range(data.size):
             rec = series_recursion(data, side, vertex, k_max)

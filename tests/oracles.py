@@ -3,7 +3,8 @@ lifted class functions; the value kernels work on `Cyclotomic` values one at
 a time, so the lifted paths are checked against an independent one.  The
 library lowers a value by one projection per prime and inverts by the Galois
 norm; the Galois-orbit lowering and the linear-solve inverse it replaced are
-kept here as the independent path."""
+kept here as the independent path.  The library reads fusion coefficients
+off disjoint constituents; the linear solve it replaced is kept here too."""
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -16,7 +17,27 @@ from mckay_slodowy.cyclotomic import (
     reduce_mod_phi,
     root_sum,
 )
-from mckay_slodowy.linalg import solve_exact
+from mckay_slodowy.linalg import _eliminate
+
+
+def solve_exact(rows, rhs) -> list[Fraction]:
+    """Solve A x = b exactly.  A may have more rows than columns; the system
+    must be consistent and determine x uniquely, else ValueError.
+
+    The augmented matrix goes through the library's integer elimination;
+    Fractions appear only in the back substitution."""
+    n = len(rows[0])
+    aug, pivots = _eliminate([*row, b] for row, b in zip(rows, rhs))
+    if n in pivots:
+        raise ValueError("inconsistent linear system")
+    if len(pivots) < n:
+        raise ValueError("underdetermined linear system")
+    # pivots == [0, ..., n-1]: rows 0..n-1 are upper triangular
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n) if row[j])) / Fraction(row[i])
+    return x
 
 
 def _integral(c):

@@ -122,6 +122,9 @@ ERRORS = [
     (lambda: corollary_relation_check(normal_pair("S4A4")), (), {}, DomainError,
      "index-correspondence relations are only stated for "
      "('A2n-1^2', 'Dn+1^2', 'E6^2', 'D4^3', 'A2^2', 'A2n^2')"),
+    # a non-integer n ("3" once raised TypeError at `n < n_min`)
+    (closed_form_check, ("A2n-1^2", "3"), {}, DomainError, "n must be an integer, not '3'"),
+    (closed_form_check, ("A2n-1^2", 3.0), {}, DomainError, "n must be an integer, not 3.0"),
 ]
 
 

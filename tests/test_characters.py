@@ -470,3 +470,27 @@ def test_induce_and_restrict_are_memoised(monkeypatch):
 def test_frobenius_matrix_matches_the_inner_products(name, n):
     pair = normal_pair(name, n)
     assert frobenius_check(pair) == frobenius_oracle(pair)
+
+
+def test_value_keyed_memos_find_one_function_in_any_form():
+    # restrict, induce, _fusion_matrices, character_product and the series'
+    # self-duality check are memoised on the Character or ClassFunction they
+    # are given: one function must be one key, whichever form built it
+    pair = normal_pair("A2n-1^2", 4)
+    induced = induce(pair, table(pair.N)[1]).function
+    m, den, cols = induced.lifted()
+    forms = [
+        ClassFunction(pair.G, induced.values),
+        ClassFunction.from_lifted(
+            pair.G, 2 * m, 3 * den, [tuple((2 * a, 3 * u) for a, u in col) for col in cols]
+        ),
+        induced,
+    ]
+    characters = [Character(f, "psi") for f in forms]
+    for keys in (forms, characters):
+        for i, key in enumerate(keys):
+            memo = {key: i}
+            for other in keys:
+                assert other == key and hash(other) == hash(key)
+                assert memo[other] == i
+    assert restrict(pair, characters[1]) is restrict(pair, characters[0])

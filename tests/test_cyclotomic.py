@@ -408,3 +408,40 @@ def test_reduce_mod_phi_keeps_a_short_integer_vector_integral():
     assert reduced == [0, 1, 0, 0] and all(type(c) is int for c in reduced)
     assert _same(unlift(12, 1, reduce_mod_phi(12, [0, 1])), root_of_unity(12))
     assert _same(unlift(12, 2, reduce_mod_phi(12, [1, 1])), (1 + root_of_unity(12)) / 2)
+
+
+def pretty_oracle(x):
+    """The display r*z{n}^k of a single root of unity by trial products with
+    zeta_n^-k, k = 1..n-1, as pretty once found it; None for any other value."""
+    n = x.conductor
+    for k in range(1, n):
+        q = x * root_of_unity(n, -k)
+        if q.is_rational():
+            r = q.to_rational()
+            head = "" if r == 1 else ("-" if r == -1 else f"{r}*")
+            return head + f"z{n}" + (f"^{k}" if k > 1 else "")
+    return None
+
+
+def test_pretty_reads_a_root_of_unity_without_a_product(monkeypatch):
+    values = [
+        r * root_of_unity(n, k)
+        for n in range(3, 25)
+        for k in range(1, n)
+        for r in (1, -1, Fraction(-3, 2))
+    ]
+    values = [x for x in values if not x.is_rational()]
+    values += [x + 1 for x in values[::7]] + [sqrt2(), 1 + sqrt_minus1()]
+    want = [pretty_oracle(x) for x in values]
+
+    def product(*args):
+        raise AssertionError("pretty multiplied a Cyclotomic")
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", product)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", product)
+    for x, w in zip(values, want):
+        got = x.pretty()
+        if w is None:  # a sum over the power basis, two terms at least
+            assert " + " in got or " - " in got, got
+        else:
+            assert got == w

@@ -1,6 +1,6 @@
 """Byte identity of the CLI's output: the SHA-256 and length of stdout, and
 the exit code, of requests over every family, every pair and the full
-verification, pinned in golden_cli.json.
+verification, as JSON and as text, pinned in golden_cli.json.
 
 Any change to a printed value, label, order or layout fails here.  The table
 is rewritten from the tree on the path by
@@ -29,15 +29,18 @@ def cases() -> list[list[str]]:
         for n in [None] if row.n_min is None else range(max(row.n_min, 2), 9):
             sized = [name] + ([] if n is None else ["--n", str(n)])
             out += [["group", *sized, "--json"], ["chartable", *sized, "--json"]]
+            out += [["chartable", *sized], ["chartable", *sized, "--unicode"]]
             if row.order(n) <= 48:
                 out.append(["chartable", *sized, "--numeric", "--json"])
     for name, row in PAIRS.items():
         for n in [None] if row.n_min is None else sorted({row.n_min, 5}):
             sized = [] if n is None else ["--n", str(n)]
-            out.append(["pair", name, *sized, "--json"])
+            out += [["pair", name, *sized, "--json"], ["pair", name, *sized]]
             for side in ("res", "ind"):
-                out.append(["poincare", "--pair", name, *sized, "--side", side, "--closed-form", "--json"])
-    out.append(["verify", "--all", "--json"])
+                out.append(["pair", name, *sized, "--dot", "--side", side])
+                closed = ["poincare", "--pair", name, *sized, "--side", side, "--closed-form"]
+                out += [[*closed, "--json"], closed]
+    out += [["verify", "--all", "--json"], ["verify", "--all"]]
     return out
 
 

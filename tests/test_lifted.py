@@ -1,7 +1,8 @@
 """The lifted class functions against the kernels they replaced, kept here as
 oracles: induction by one linear_combination per class, products and powers
 of chi_V as Cyclotomic products, and the eigenvector check row by row on
-Cyclotomic values.  The brute-force series has its Cyclotomic-power oracle
+Cyclotomic values; fusion coefficients read off constituents against the
+linear solve.  The brute-force series has its Cyclotomic-power oracle
 in test_poincare."""
 from fractions import Fraction
 from itertools import islice
@@ -13,6 +14,7 @@ from mckay_slodowy.characters import ClassFunction, induce, table
 from mckay_slodowy.errors import CheckFailure
 from mckay_slodowy.groups import PAIR_N_MIN, family, normal_pair, pair_from_groups
 from mckay_slodowy.mckay import (
+    SIDES,
     FusionData,
     _solve_in_basis,
     eigenvector_check,
@@ -20,7 +22,7 @@ from mckay_slodowy.mckay import (
     induction_basis,
 )
 from mckay_slodowy.poincare import _powers, series_cramer
-from oracles import linear_combination
+from oracles import linear_combination, solve_exact
 
 FIXED = [("E6^2", None), ("D4^3", None), ("A2^2", None), ("S4A4", None)]
 SEVEN = [("A2n-1^2", 3), ("Dn+1^2", 3), ("A2n^2", 3)] + FIXED
@@ -44,8 +46,8 @@ def fusion_oracle(data):
     for group, chi_v, basis in ((pair.N, v_res, data.rbasis), (pair.G, V.values, data.ibasis)):
         tbl = table(group)
         cols = [
-            _solve_in_basis(
-                basis.mult_vectors,
+            solve_exact(
+                list(zip(*basis.mult_vectors)),
                 tbl.decompose(ClassFunction(group, [a * b for a, b in zip(chi_v, member.values)])),
             )
             for member in basis.members
@@ -91,6 +93,47 @@ def test_induced_values_match_the_linear_combination_oracle(name, n):
 def test_fusion_matrices_match_the_cyclotomic_products(name, n):
     data = fusion_matrices(normal_pair(name, n))
     assert (data.A, data.B) == fusion_oracle(data)
+
+
+def _oracle_coefficients(vectors, target):
+    """The coefficients of target in the vectors by the linear solve, or None
+    when they are not non-negative integers."""
+    try:
+        sol = solve_exact(list(zip(*vectors)), target)
+    except ValueError:
+        return None
+    if any(c.denominator != 1 or c < 0 for c in sol):
+        return None
+    return tuple(sol)
+
+
+@pytest.mark.parametrize("name,n", SMALL)
+def test_fusion_coefficients_read_off_constituents_match_the_linear_solve(name, n):
+    # every (side, member) target, and each target with one entry moved by
+    # one: the read raises exactly where the solve has no non-negative
+    # integer solution, and agrees with it everywhere else
+    data = fusion_matrices(normal_pair(name, n))
+    raised = 0
+    for side in SIDES:
+        _, basis, chi_v = data.side(side)
+        tbl = table(chi_v.group)
+        for member in basis.members:
+            target = tbl.decompose(chi_v * member)
+            assert _solve_in_basis(basis.mult_vectors, target) == _oracle_coefficients(
+                basis.mult_vectors, target
+            )
+            for i in range(len(target)):
+                for delta in (1, -1):
+                    moved = list(target)
+                    moved[i] += delta
+                    want = _oracle_coefficients(basis.mult_vectors, moved)
+                    if want is None:
+                        raised += 1
+                        with pytest.raises(CheckFailure):
+                            _solve_in_basis(basis.mult_vectors, moved)
+                    else:
+                        assert _solve_in_basis(basis.mult_vectors, moved) == want
+    assert raised
 
 
 @pytest.mark.parametrize("name,n", SEVEN)

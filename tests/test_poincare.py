@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mckay_slodowy.characters import table
+from mckay_slodowy.characters import restrict, table
 from mckay_slodowy.cyclotomic import Cyclotomic
 from mckay_slodowy.errors import DomainError
 from mckay_slodowy.groups import normal_pair
-from mckay_slodowy import mckay
+from mckay_slodowy import mckay, poincare
 from mckay_slodowy.chebyshev import spectrum_exponents_check
 from mckay_slodowy.mckay import characteristic_identity_check, default_module, fusion_matrices
 from mckay_slodowy.poincare import (
@@ -362,3 +362,41 @@ def test_a_fresh_fusion_datum_runs_faddeev_leverrier_once_per_side(monkeypatch):
             for vertex in range(data.size):
                 series_cramer(data, side, vertex)
     assert len(runs) == 2
+
+
+def test_every_side_reader_rejects_a_bad_side_with_one_text():
+    data = fusion_matrices(normal_pair("A2^2"))
+    readers = [
+        lambda: data.side("bogus"),
+        lambda: mckay.side_recurrence(data, "bogus"),
+        lambda: mckay.graph(data, "bogus"),
+        lambda: series_cramer(data, "bogus", 0),
+        lambda: series_recursion(data, "bogus", 0, 3),
+        lambda: brute_force_series(data, "bogus", 3),
+    ]
+    for read in readers:
+        with pytest.raises(DomainError) as exc:
+            read()
+        assert str(exc.value) == "side must be one of ('restriction', 'induction')"
+
+
+def test_a_side_is_its_matrix_basis_and_module():
+    pair = normal_pair("Dn+1^2", 3)
+    data = fusion_matrices(pair)
+    assert SIDES == ("restriction", "induction")
+    assert data.side("restriction") == (data.A, data.rbasis, restrict(pair, data.V).function)
+    assert data.side("induction") == (data.B, data.ibasis, data.V.base)
+
+
+def test_the_self_duality_of_a_module_is_checked_once():
+    # every series call needs V = V*; the check reads V's values once per V
+    poincare._require_self_dual.cache_clear()
+    data = fusion_matrices(normal_pair("A2n^2", 3))
+    for side in SIDES:
+        for vertex in range(data.size):
+            series_cramer(data, side, vertex)
+            series_recursion(data, side, vertex, 4)
+        brute_force_series(data, side, 4)
+    denominator_product(data.pair, data.V)
+    info = poincare._require_self_dual.cache_info()
+    assert info.misses == 1 and info.hits
