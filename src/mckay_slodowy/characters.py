@@ -34,8 +34,9 @@ class ClassFunction:
     cols[c] holds the sparse (exponent mod m, integer) terms of D * f(c) in
     Z[x]/(x^m - 1), where zeta_m^j is x^j.  The terms are not reduced modulo
     Phi_m: pairing with a table is a ring map, and _pairings reduces once
-    per irreducible.  Products, induction and the pairings run on the lifted
-    form; `values` reduces and canonicalises each class once, when read."""
+    per irreducible.  Sums, scalars, conjugates, products, induction and the
+    pairings run on the lifted form; `values` reduces and canonicalises each
+    class once, when read."""
 
     __slots__ = ("group", "_values", "_lifted", "_hash")
 
@@ -68,15 +69,14 @@ class ClassFunction:
         vals = self._values
         if vals is None:
             m, den, cols = self._lifted
-            vals = []
-            for terms in cols:
-                acc = [0] * m
-                for a, u in terms:
-                    acc[a] += u
-                vals.append(unlift(m, den, reduce_mod_phi(m, acc)))
-            vals = tuple(vals)
+            vals = tuple(unlift(m, den, _reduced(m, terms)) for terms in cols)
             object.__setattr__(self, "_values", vals)
         return vals
+
+    def is_zero_at(self, c: int) -> bool:
+        """Whether f vanishes at class c, read off the lifted form."""
+        m, _, cols = self.lifted()
+        return not cols[c] or not any(_reduced(m, cols[c]))
 
     def lifted(self) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
         """The lifted form (m, D, cols); a function built from values is
@@ -94,22 +94,25 @@ class ClassFunction:
         return lf
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        # pointwise product = character of the tensor product
-        if isinstance(other, ClassFunction):
-            if other.group is not self.group:
-                raise DomainError("class functions live on different groups")
-            return _lifted_product(self, other)
-        return ClassFunction(self.group, [v * other for v in self.values])
+        # pointwise product = character of the tensor product; a scalar is a constant function
+        if not isinstance(other, ClassFunction):
+            if Cyclotomic._coerce(other) is None:
+                return NotImplemented
+            other = ClassFunction(self.group, [other] * len(self.group.classes))
+        elif other.group is not self.group:
+            raise DomainError("class functions live on different groups")
+        return _lifted_product(self, other)
 
     __rmul__ = __mul__
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if other.group is not self.group:
             raise DomainError("class functions live on different groups")
-        return ClassFunction(self.group, [a + b for a, b in zip(self.values, other.values)])
+        return _lifted_combination((1, 1), (self, other))
 
     def conj(self) -> "ClassFunction":
-        return ClassFunction(self.group, [v.conj() for v in self.values])
+        m, den, cols = self.lifted()  # conjugation sends zeta_m^a to zeta_m^-a
+        return ClassFunction.from_lifted(self.group, m, den, [tuple((-a % m, u) for a, u in t) for t in cols])
 
     def __eq__(self, other):
         return (
@@ -141,6 +144,28 @@ def _lifted_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
         for tf, tg in zip(cf, cg)
     ]
     return ClassFunction.from_lifted(f.group, m, df * dg, cols)
+
+
+def _lifted_combination(coeffs, fs) -> ClassFunction:
+    """sum_i coeffs[i] * fs[i] for integer coeffs: each f_i's terms rescaled to
+    m and D the lcms of the conductors and denominators, collected class by class."""
+    forms = [(c, f.lifted()) for c, f in zip(coeffs, fs) if c]
+    m = lcm(*(f_m for _, (f_m, _, _) in forms))
+    den = lcm(*(f_den for _, (_, f_den, _) in forms))
+    scaled = [(m // f_m, c * (den // f_den), cols) for c, (f_m, f_den, cols) in forms]
+    cols = [
+        _collect((a * s, w * u) for s, w, f_cols in scaled for a, u in f_cols[k])
+        for k in range(len(fs[0].group.classes))
+    ]
+    return ClassFunction.from_lifted(fs[0].group, m, den, cols)
+
+
+def _reduced(m: int, terms) -> list[int]:
+    """Sparse (exponent, integer) terms of Z[x]/(x^m - 1) as a vector reduced modulo Phi_m."""
+    acc = [0] * m
+    for a, u in terms:
+        acc[a] += u
+    return reduce_mod_phi(m, acc)
 
 
 def _collect(terms) -> tuple[tuple[int, int], ...]:
@@ -221,25 +246,12 @@ class CharacterTable:
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
-    """(1/|G|) sum over classes of size * a(g) * conj(b(g)).
-
-    Summed on the two lifted forms as _pairings does: size * u * w lands at
-    x^(i - j) in Z[x]/(x^m - 1), m the lcm of the two conductors, and the
-    sum is reduced modulo Phi_m once, over |G| * D_a * D_b."""
-    if a.group is not b.group:
-        raise DomainError("class functions live on different groups")
-    ma, da, ca = a.lifted()
-    mb, db, cb = b.lifted()
-    m = lcm(ma, mb)
-    sa, sb = m // ma, m // mb
-    acc = [0] * m
-    for size, ta, tb in zip(a.group.class_sizes(), ca, cb):
-        for i, u in ta:
-            i *= sa
-            u *= size
-            for j, w in tb:
-                acc[(i - j * sb) % m] += u * w
-    return unlift(m, a.group.order * da * db, reduce_mod_phi(m, acc))
+    """(1/|G|) sum over classes of size * a(g) * conj(b(g)): the lifted
+    a * conj(b), its terms summed with the class sizes as weights, reduced
+    modulo Phi_m once and unlifted once, over |G| * D."""
+    m, den, cols = (a * b.conj()).lifted()
+    terms = ((e, size * u) for size, col in zip(a.group.class_sizes(), cols) for e, u in col)
+    return unlift(m, a.group.order * den, _reduced(m, terms))
 
 
 # -- the lifted dual: every pairing <f, chi_i> in one pass ---------------------

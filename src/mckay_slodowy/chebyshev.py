@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from . import dynkin
-from .cyclotomic import root_of_unity
+from .cyclotomic import one_minus_product, root_of_unity
 from .errors import CheckFailure, DomainError
 from .groups import PAIRS, NormalPair, _checked_n, normal_pair
 from .mckay import (
@@ -19,7 +19,6 @@ from .mckay import (
     characteristic_identity_check,
     fusion_matrices,
     graph,
-    one_minus_product,
 )
 from .poincare import RationalSeries, denominator_identity_check, series_cramer
 from .polynomials import IntPoly, char_poly

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
+from .errors import CheckFailure
 from .polynomials import IntPoly
 
 Rational = Fraction
@@ -512,6 +513,30 @@ def root_sum(n: int, counts) -> Cyclotomic:
     if not any(reduced[1:]):
         return Cyclotomic(reduced[0])
     return Cyclotomic._raw(n, [Fraction(c) for c in reduced])
+
+
+def one_minus_product(values) -> list[int]:
+    """Coefficients of prod over v in values of (1 - v t), lowest degree first
+    (len(values) + 1 of them); each must be a rational integer.
+
+    Expanded in Q[x]/(x^m - 1), m the lcm of the conductors, where zeta_n^j
+    is x^(j*m/n); each coefficient becomes a cyclotomic number once, at the end."""
+    m = lcm(1, *(v.conductor for v in values))
+    rows = [[1] + [0] * (m - 1)]
+    for v in values:
+        terms = [(j * (m // v.conductor), c) for j, c in v.terms()]
+        rows.append([0] * m)
+        # times (1 - v t): each row less v times the one below, highest first
+        for row, prev in zip(rows[:0:-1], rows[-2::-1]):
+            for s, c in terms:
+                for r, x in enumerate(prev):
+                    if x:
+                        row[(r + s) % m] -= c * x
+    coeffs = [root_sum(m, row) for row in rows]
+    for c in coeffs:
+        if not c.is_integer():
+            raise CheckFailure(f"coefficient {c} of prod (1 - chi_V(g) t) is not a rational integer")
+    return [c.to_integer() for c in coeffs]
 
 
 def zeta(n: int, k: int = 1) -> Cyclotomic:

@@ -166,6 +166,7 @@ class FiniteGroup:
         self.family_info: tuple[str, int | None] | None = None
         self.class_labels: list[str] | None = None
         self._element_orders: list[int] | None = None
+        self._exponent: int | None = None
         if right_mul is None:
             try:
                 right_mul = [[self.index[e * g] for e in self.elements] for g in self.generators]
@@ -250,12 +251,13 @@ class FiniteGroup:
             self._element_orders[i] = k
         return self._element_orders[i]
 
-    @cache
     def exponent(self) -> int:
         """The lcm of the element orders, over one representative per class
         (conjugates share an order, so choosing other representatives
-        leaves it alone)."""
-        return lcm(1, *(self.element_order(c) for c in self.class_reps))
+        leaves it alone); computed once and kept on the group."""
+        if self._exponent is None:
+            self._exponent = lcm(1, *(self.element_order(c) for c in self.class_reps))
+        return self._exponent
 
     def _compute_classes(self) -> None:
         # conjugation by generators generates conjugation by the whole group

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import ClassVar
 
 from . import dynkin
-from .characters import Character, ClassFunction, induce, restrict, table
-from .cyclotomic import Cyclotomic, reduce_mod_phi, root_sum
+from .characters import Character, ClassFunction, _lifted_combination, induce, restrict, table
+from .cyclotomic import Cyclotomic, one_minus_product
 from .errors import CheckFailure, DomainError
 from .groups import NormalPair
 from .linalg import rank
@@ -310,12 +310,8 @@ class NullVectorReport(Record):
         return hash((self.variant, self.alpha_A, self.alpha_B, self.kernel_dims))
 
 
-def _mat_vec(M, v):
-    return [sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(M))]
-
-
-def _is_zero(v) -> bool:
-    return all(x == 0 for x in v)
+def _annihilates(M, v) -> bool:
+    return not any(sum(map(mul, row, v)) for row in M)
 
 
 def null_vector_check(data: FusionData) -> NullVectorReport:
@@ -329,22 +325,16 @@ def null_vector_check(data: FusionData) -> NullVectorReport:
     alpha_A = tuple(d // pair.index for d in ind_degs)
     alpha_B = data.rbasis.degrees
     for v, nm in ((alpha_A, "alpha_A"), (alpha_B, "alpha_B")):
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g != 1:
+        if gcd(*v) != 1:
             raise CheckFailure(f"{nm} = {v} is not a coprime integer vector")
     dims = [data.size - rank(C) for C in (CA, CB)]
     if dims != [1, 1]:
         raise CheckFailure(f"Cartan kernels have dimensions {dims}, expected 1 and 1")
-
-    CAt = tuple(tuple(CA[j][i] for j in range(data.size)) for i in range(data.size))
-    CBt = tuple(tuple(CB[j][i] for j in range(data.size)) for i in range(data.size))
     ann = {
-        "C_A.alpha_A": _is_zero(_mat_vec(CA, alpha_A)),
-        "C_B.alpha_B": _is_zero(_mat_vec(CB, alpha_B)),
-        "C_A^T.alpha_B": _is_zero(_mat_vec(CAt, alpha_B)),
-        "C_B^T.alpha_A": _is_zero(_mat_vec(CBt, alpha_A)),
+        "C_A.alpha_A": _annihilates(CA, alpha_A),
+        "C_B.alpha_B": _annihilates(CB, alpha_B),
+        "C_A^T.alpha_B": _annihilates(zip(*CA), alpha_B),
+        "C_B^T.alpha_A": _annihilates(zip(*CB), alpha_A),
     }
     standard = ann["C_A.alpha_A"] and ann["C_B.alpha_B"]
     transposed = ann["C_A^T.alpha_B"] and ann["C_B^T.alpha_A"]
@@ -359,31 +349,6 @@ def null_vector_check(data: FusionData) -> NullVectorReport:
             f"neither null-vector variant holds for {pair.name}: {ann}"
         )
     return NullVectorReport(variant, alpha_A, alpha_B, (1, 1), ann)
-
-
-def one_minus_product(values) -> list[int]:
-    """Coefficients of prod over v in values of (1 - v t), lowest degree first
-    (len(values) + 1 of them); each must be a rational integer.
-
-    Expanded in Q[x]/(x^m - 1), m the lcm of the conductors, where zeta_n^j
-    is x^(j*m/n); each coefficient becomes a cyclotomic number once, at the end."""
-    m = lcm(1, *(v.conductor for v in values))
-    rows = [[1] + [0] * (m - 1)]
-    for v in values:
-        step = m // v.conductor
-        terms = [(j * step, c) for j, c in v.terms()]
-        rows.append([0] * m)
-        for i in range(len(rows) - 1, 0, -1):
-            row, prev = rows[i], rows[i - 1]
-            for s, c in terms:
-                for r, x in enumerate(prev):
-                    if x:
-                        row[(r + s) % m] -= c * x
-    coeffs = [root_sum(m, row) for row in rows]
-    for c in coeffs:
-        if not c.is_integer():
-            raise CheckFailure(f"coefficient {c} of prod (1 - chi_V(g) t) is not a rational integer")
-    return [c.to_integer() for c in coeffs]
 
 
 @cache
@@ -424,41 +389,25 @@ def eigenvector_check(data: FusionData) -> list[Cyclotomic]:
     vectors (g = identity) lie in the kernels.  Returns the eigenvalue list,
     one per Upsilon(N) class.
 
-    d v_i - (M^T v)_i = (d - chi_V(g)) v_i is checked as
-    sum_j M^T[i][j] v_j - chi_V(g) v_i = 0, on the lifted forms of the basis
-    members and of chi_V: integers in Z[x]/(x^m - 1) over one denominator,
-    reduced modulo Phi_m once per row."""
+    d v_i - (M^T v)_i = (d - chi_V(g)) v_i is the class-function identity
+    chi_V * f_i = sum_j M[j][i] * f_j on the basis members f_j, checked as
+    the residual r_i = chi_V * f_i - sum_j M[j][i] * f_j vanishing at each
+    Upsilon(N) class (on the restriction side, at the N-class carrying g)."""
     pair = data.pair
     d = data.V.degree
-    v_m, v_den, v_cols = data.V.base.lifted()
-    sides = []
+    residuals = []
     for side in SIDES:
-        M, basis, _ = data.side(side)
-        forms = [f.lifted() for f in basis.members]
-        m = lcm(v_m, *(f_m for f_m, _, _ in forms))
-        den = lcm(*(f_den for _, f_den, _ in forms))
-        sides.append((side, M, m, den, forms))
+        M, basis, chi = data.side(side)
+        residuals.append([
+            _lifted_combination((1, *(-row[i] for row in M)), (chi * f, *basis.members))
+            for i, f in enumerate(basis.members)
+        ])
     eigenvalues = []
     for gc in pair.upsilonN:
         eigenvalues.append(d - data.V.values[gc])
-        for side, M, m, den, forms in sides:
+        for side, rs in zip(SIDES, residuals):
             c = pair.g_class_with_n_values(gc) if side == "restriction" else gc
-            # v_j(c) as (exponent, den * coefficient) terms at conductor m
-            v = [
-                [(a * (m // f_m), u * (den // f_den)) for a, u in cols[c]]
-                for f_m, f_den, cols in forms
-            ]
-            chi = [(a * (m // v_m), u) for a, u in v_cols[gc]]
-            for i, vi in enumerate(v):
-                acc = [0] * m
-                for j, vj in enumerate(v):
-                    w = M[j][i] * v_den
-                    if w:
-                        for a, u in vj:
-                            acc[a] += w * u
-                for a, u in chi:
-                    for b, w in vi:
-                        acc[(a + b) % m] -= u * w
-                if any(acc) and any(reduce_mod_phi(m, acc)):
+            for i, r in enumerate(rs):
+                if not r.is_zero_at(c):
                     raise CheckFailure(f"{side} eigenvector fails at class {gc}, row {i}")
     return eigenvalues

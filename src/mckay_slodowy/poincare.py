@@ -22,11 +22,19 @@ from .polynomials import IntPoly, poly_gcd
 from .record import Record
 
 
-def _side_matrix(data: FusionData, side: str):
+def _side_matrix(data: FusionData, side: str, vertex: int = 0):
     M = data.side(side)[0]
     # the series identities need Hom(-, V ox W) = Hom(V ox -, W), i.e. V = V*
     _require_self_dual(data.V)
+    if type(vertex) is not int or not 0 <= vertex < len(M):
+        raise DomainError(f"vertex {vertex} out of range for size {len(M)}")
     return M
+
+
+def _checked_count(name: str, value) -> int:
+    if type(value) is not int or value < 0:
+        raise DomainError(f"{name} must be a non-negative integer, not {value!r}")
+    return value
 
 
 class RationalSeries:
@@ -52,11 +60,11 @@ class RationalSeries:
         self._lock = threading.Lock()
 
     def coefficient(self, k: int) -> int:
-        self._extend(k)
+        self._extend(_checked_count("k", k))
         return self._stream[k]
 
     def coefficients(self, count: int) -> list[int]:
-        self._extend(count - 1)
+        self._extend(_checked_count("count", count) - 1)
         return self._stream[:count]
 
     def _extend(self, upto: int) -> None:
@@ -116,18 +124,15 @@ def _recursion_vectors(M, K: int):
 
 def multiplicity_vector(data: FusionData, side: str, k: int) -> MultiplicityVector:
     """The k-th recursion vector c_k = (M^T)^k e_0, exact integers."""
-    c = deque(_recursion_vectors(_side_matrix(data, side), k), maxlen=1).pop()
+    c = deque(_recursion_vectors(_side_matrix(data, side), _checked_count("k", k)), maxlen=1).pop()
     return MultiplicityVector(k, tuple(c))
 
 
 def series_recursion(data: FusionData, side: str, vertex: int, K: int) -> list[int]:
     """First K+1 multiplicity coefficients by iterating c_k = M^T c_{k-1}
     from the unit vector at index 0 (exact integers)."""
-    M = _side_matrix(data, side)
-    k = len(M)
-    if not 0 <= vertex < k:
-        raise DomainError(f"vertex {vertex} out of range for size {k}")
-    return [c[vertex] for c in _recursion_vectors(M, K)]
+    M = _side_matrix(data, side, vertex)
+    return [c[vertex] for c in _recursion_vectors(M, _checked_count("K", K))]
 
 
 def series_cramer(data: FusionData, side: str, vertex: int) -> RationalSeries:
@@ -135,10 +140,7 @@ def series_cramer(data: FusionData, side: str, vertex: int) -> RationalSeries:
     det of (I - tM^T) with the vertex column replaced by the unit vector,
     i.e. entry (vertex, 0) of adj(I - tM^T), over det(I - tM^T).  Both come
     from the side's one Faddeev-LeVerrier run (mckay.side_recurrence)."""
-    M = _side_matrix(data, side)
-    k = len(M)
-    if not 0 <= vertex < k:
-        raise DomainError(f"vertex {vertex} out of range for size {k}")
+    _side_matrix(data, side, vertex)
     den, numerators = side_recurrence(data, side)
     return RationalSeries(numerators[vertex], IntPoly(den))
 
@@ -187,8 +189,9 @@ def brute_force_multiplicity(
     """dim Hom(basis member, V^(tensor k)) summed over the member's irreducible
     constituents, straight from the character inner products: chi_V^k is
     decomposed once and dotted with the member's constituent vector."""
-    if k > bound:
+    if _checked_count("k", k) > bound:
         raise DomainError(f"tensor power {k} exceeds the bound {bound}")
+    _side_matrix(data, side, vertex)
     tbl, powers, mult_vectors = _brute_force_side(data, side)
     constituents = tbl.decompose(next(islice(powers, k, None)))
     return sum(map(mul, constituents, mult_vectors[vertex]))
@@ -200,7 +203,7 @@ def brute_force_series(
     """brute_force_multiplicity for every vertex and every k = 0..K, one list
     per vertex; each power chi_V^k is computed and decomposed once for all
     of them."""
-    if K > bound:  # name the first power out of reach, as the single-k entry point does
+    if _checked_count("K", K) > bound:  # name the first power out of reach, as the single-k entry point does
         raise DomainError(f"tensor power {bound + 1} exceeds the bound {bound}")
     tbl, powers, mult_vectors = _brute_force_side(data, side)
     out: list[list[int]] = [[] for _ in mult_vectors]

@@ -298,8 +298,9 @@ def run_identity_fixtures(pair: NormalPair, family_name: str, n: int | None) -> 
     data = fusion_matrices(pair)
     gt, nt = table(pair.G), table(pair.N)
     fusion_sides = dict(zip(("fuse_res", "fuse_ind"), SIDES))
+    fixtures = identity_fixtures(family_name, n)
     failures = []
-    for record in identity_fixtures(family_name, n):
+    for record in fixtures:
         kind, source, expected = record
         try:
             if kind == "restrict":
@@ -308,8 +309,8 @@ def run_identity_fixtures(pair: NormalPair, family_name: str, n: int | None) -> 
                 got = induce(pair, nt[source]).as_label_dict()
             elif kind in fusion_sides:
                 M, basis, _ = data.side(fusion_sides[kind])
-                # a member by the origin in its label: "check(rho)" -> "rho"
-                origin = [lbl.partition("(")[2][:-1] for lbl in basis.labels]
+                # a member by the first irreducible it comes from
+                origin = [table(getattr(pair, basis.origin_group)).labels[o[0]] for o in basis.origins]
                 j = basis.index_of_origin(source)
                 got = {origin[i]: M[i][j] for i in range(data.size) if M[i][j]}
                 expected = {origin[basis.index_of_origin(lbl)]: m for lbl, m in expected.items()}
@@ -319,7 +320,7 @@ def run_identity_fixtures(pair: NormalPair, family_name: str, n: int | None) -> 
                 failures.append(f"{kind} {source}: expected {expected}, got {got}")
         except (CheckFailure, DomainError, KeyError, ValueError) as exc:
             failures.append(f"{kind} {source}: {exc}")
-    name = f"{pair.name} decomposition/fusion identities ({len(identity_fixtures(family_name, n))})"
+    name = f"{pair.name} decomposition/fusion identities ({len(fixtures)})"
     if failures:
         return CheckResult(name, False, "; ".join(failures))
     return CheckResult(name, True)
@@ -412,6 +413,8 @@ def verify_pair(family_name: str, n: int | None = None, k_max: int = 12) -> list
 
 
 def _check_k_max(k_max: int) -> None:
+    if type(k_max) is not int:
+        raise DomainError(f"k_max must be an integer, not {k_max!r}")
     if not 0 <= k_max <= DEFAULT_BRUTE_FORCE_BOUND:
         raise DomainError(f"k_max must be in 0..{DEFAULT_BRUTE_FORCE_BOUND}, got {k_max}")
 
@@ -458,6 +461,8 @@ def default_pair_arguments(n_max: int = 8) -> list[tuple[str, int | None]]:
 def verify_all(n_max: int = 8, k_max: int = 12) -> list[CheckResult]:
     """Every fixture and invariant for the default parameter ranges."""
     _check_k_max(k_max)
+    if type(n_max) is not int:
+        raise DomainError(f"n_max must be an integer, not {n_max!r}")
     if n_max < 2:
         raise DomainError(f"n_max must be at least 2, got {n_max}")
     results: list[CheckResult] = []

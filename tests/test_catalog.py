@@ -8,7 +8,7 @@ from mckay_slodowy.cli import run
 from mckay_slodowy.errors import ClosureBoundExceeded, DomainError
 from mckay_slodowy.groups import family, normal_pair
 from mckay_slodowy.poincare import corollary_relation_check
-from mckay_slodowy.verify import verify_pair
+from mckay_slodowy.verify import verify_all, verify_pair
 
 CLASS_LABELS = {
     ("cyclic", 2): ["1", "z"],
@@ -125,6 +125,16 @@ ERRORS = [
     # a non-integer n ("3" once raised TypeError at `n < n_min`)
     (closed_form_check, ("A2n-1^2", "3"), {}, DomainError, "n must be an integer, not '3'"),
     (closed_form_check, ("A2n-1^2", 3.0), {}, DomainError, "n must be an integer, not 3.0"),
+    # a non-integer k_max or n_max (once a TypeError, or a FAILed check with
+    # islice's ValueError as its detail), and the range texts they keep
+    (verify_pair, ("E6^2",), {"k_max": 2.5}, DomainError, "k_max must be an integer, not 2.5"),
+    (verify_pair, ("E6^2",), {"k_max": True}, DomainError, "k_max must be an integer, not True"),
+    (verify_pair, ("E6^2",), {"k_max": 21}, DomainError, "k_max must be in 0..20, got 21"),
+    (verify_all, (), {"n_max": 2.5}, DomainError, "n_max must be an integer, not 2.5"),
+    (verify_all, (), {"n_max": "8"}, DomainError, "n_max must be an integer, not '8'"),
+    (verify_all, (), {"k_max": 2.5}, DomainError, "k_max must be an integer, not 2.5"),
+    (verify_all, (), {"n_max": 1}, DomainError, "n_max must be at least 2, got 1"),
+    (verify_all, (), {"k_max": -1}, DomainError, "k_max must be in 0..20, got -1"),
 ]
 
 

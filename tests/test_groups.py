@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -437,3 +439,18 @@ def test_exponent_is_computed_once_per_group(monkeypatch):
     assert len(calls) == len(G.classes)
     assert G.exponent() == 12
     assert len(calls) == len(G.classes)
+
+
+def test_the_exponent_keeps_no_group_alive():
+    # the exponent is kept on the group; a cache on the method once held
+    # every group whose exponent was asked for
+    groups = [
+        generate([Permutation.from_cycles(4, (1, 2, 3, 4))]),
+        generate([Permutation.from_cycles(4, (1, 2, 3, 4)), Permutation.from_cycles(4, (1, 2))]),
+        generate([Matrix2.diagonal(root_of_unity(6, 1), root_of_unity(6, -1))]),
+    ]
+    assert [G.exponent() for G in groups] == [4, 12, 6]
+    refs = [weakref.ref(G) for G in groups]
+    del groups
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]

@@ -1,16 +1,17 @@
 """The lifted class functions against the kernels they replaced, kept here as
 oracles: induction by one linear_combination per class, products and powers
-of chi_V as Cyclotomic products, and the eigenvector check row by row on
-Cyclotomic values; fusion coefficients read off constituents against the
-linear solve.  The brute-force series has its Cyclotomic-power oracle
-in test_poincare."""
+of chi_V as Cyclotomic products, sums, scalars and conjugates value by value,
+and the eigenvector check row by row on Cyclotomic values; fusion
+coefficients read off constituents against the linear solve.  The
+brute-force series has its Cyclotomic-power oracle in test_poincare."""
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
 from mckay_slodowy import characters, cyclotomic, groups
-from mckay_slodowy.characters import ClassFunction, induce, table
+from mckay_slodowy.characters import ClassFunction, _lifted_combination, induce, inner_product, table
+from mckay_slodowy.cyclotomic import root_of_unity
 from mckay_slodowy.errors import CheckFailure
 from mckay_slodowy.groups import PAIR_N_MIN, family, normal_pair, pair_from_groups
 from mckay_slodowy.mckay import (
@@ -22,7 +23,7 @@ from mckay_slodowy.mckay import (
     induction_basis,
 )
 from mckay_slodowy.poincare import _powers, series_cramer
-from oracles import linear_combination, solve_exact
+from oracles import linear_combination, solve_exact, weighted_dot
 
 FIXED = [("E6^2", None), ("D4^3", None), ("A2^2", None), ("S4A4", None)]
 SEVEN = [("A2n-1^2", 3), ("Dn+1^2", 3), ("A2n^2", 3)] + FIXED
@@ -166,11 +167,7 @@ def test_a_perturbed_fusion_matrix_fails_the_eigenvector_check(name, n):
             eigenvector_oracle(bad)
 
 
-def test_series_cramer_materialises_no_induced_value(monkeypatch):
-    G, N = family("binary_dihedral", 10), family("cyclic", 10)
-    table(G), table(N)
-    pair = pair_from_groups(G, N)  # a new pair, so nothing is cached for it yet
-    pair.default_v_label = "delta_1"
+def _counting_unlift(monkeypatch):
     real, calls = cyclotomic.unlift, []
 
     def counting(*args):
@@ -179,6 +176,15 @@ def test_series_cramer_materialises_no_induced_value(monkeypatch):
 
     for module in (cyclotomic, characters, groups):
         monkeypatch.setattr(module, "unlift", counting)
+    return calls
+
+
+def test_series_cramer_materialises_no_induced_value(monkeypatch):
+    G, N = family("binary_dihedral", 10), family("cyclic", 10)
+    table(G), table(N)
+    pair = pair_from_groups(G, N)  # a new pair, so nothing is cached for it yet
+    pair.default_v_label = "delta_1"
+    calls = _counting_unlift(monkeypatch)
     data = fusion_matrices(pair)
     series_cramer(data, "induction", 1)
     assert calls == []
@@ -194,3 +200,66 @@ def test_fusion_data_hashes_by_identity():
     assert hash(data) == object.__hash__(data)
     copy = FusionData(**{key: getattr(data, key) for key in data._fields})
     assert data == data and data != copy
+
+
+def _stretched(f, s, t):
+    """f again, lifted at s*m over t*D: the same values in a non-minimal form."""
+    m, den, cols = f.lifted()
+    return ClassFunction.from_lifted(
+        f.group, s * m, t * den, [tuple((s * a, t * u) for a, u in terms) for terms in cols]
+    )
+
+
+def test_sums_scalars_and_conjugates_build_no_value(monkeypatch):
+    tbl = table(family("binary_dihedral", 5))
+    f, g = _stretched(tbl[2].base, 2, 3), _stretched(tbl[3].base, 3, 2)
+    w = root_of_unity(3)
+    calls = _counting_unlift(monkeypatch)
+    results = [f + g, 3 * f, f * Fraction(1, 2), f * w, w * f, f.conj(), _lifted_combination((2, -1), (f, g))]
+    assert calls == []
+    # reading the results builds their values, one unlift per class
+    assert results[0].values == tuple(a + b for a, b in zip(tbl[2].values, tbl[3].values))
+    assert len(calls) == len(tbl)
+    calls.clear()
+    # the inner product reduces and unlifts once
+    assert inner_product(f, g) == 0 and inner_product(f, f) == 1
+    assert len(calls) == 2
+
+
+def _operands(tbl):
+    """Each row with the next one, the first of them lifted at a non-minimal
+    (m, D)."""
+    k = len(tbl)
+    return [(_stretched(tbl[i].base, 2, 3), tbl[(i + 1) % k].base) for i in range(k)]
+
+
+@pytest.mark.parametrize("name,n", SMALL)
+def test_lifted_arithmetic_matches_the_value_oracles(name, n):
+    pair = normal_pair(name, n)
+    w, half = root_of_unity(3), Fraction(1, 2)
+    for group in (pair.G, pair.N):
+        tbl = table(group)
+        sizes = group.class_sizes()
+        for f, g in _operands(tbl):
+            a, b = f.values, g.values
+            assert (f + g).values == tuple(linear_combination((1, 1), xy) for xy in zip(a, b))
+            assert _lifted_combination((2, -3), (f, g)).values == tuple(
+                linear_combination((2, -3), xy) for xy in zip(a, b)
+            )
+            assert (3 * f).values == tuple(linear_combination((3,), (x,)) for x in a)
+            assert (f * half).values == tuple(x * half for x in a)
+            assert (f * w).values == (w * f).values == tuple(x * w for x in a)
+            assert f.conj().values == tuple(x.conj() for x in a)
+            assert (f * g.conj()).values == tuple(x * y.conj() for x, y in zip(a, b))
+            want = weighted_dot(sizes, a, b) * Fraction(1, group.order)
+            assert inner_product(f, g) == want
+
+
+@pytest.mark.parametrize("bad", ["3", 2.5, None])
+def test_a_scalar_that_is_no_number_is_a_type_error(bad):
+    # a string would otherwise reach the constant function through Fraction("3")
+    f = table(family("cyclic", 4))[1].base
+    with pytest.raises(TypeError):
+        f * bad
+    with pytest.raises(TypeError):
+        bad * f

@@ -400,3 +400,52 @@ def test_the_self_duality_of_a_module_is_checked_once():
     denominator_product(data.pair, data.V)
     info = poincare._require_self_dual.cache_info()
     assert info.misses == 1 and info.hits
+
+
+def _e6_restriction():
+    return fusion_matrices(normal_pair("E6^2")), "restriction"
+
+
+# (call, text) on the restriction side of E6^2 (size 5, series 1, 0, 1, 0, 2, ...):
+# each once returned a wrong answer or raised a bare IndexError/ValueError
+BAD_SERIES_ARGUMENTS = [
+    (lambda d, s: brute_force_multiplicity(d, s, -1, 4), "vertex -1 out of range for size 5"),
+    (lambda d, s: brute_force_multiplicity(d, s, 5, 4), "vertex 5 out of range for size 5"),
+    (lambda d, s: brute_force_multiplicity(d, s, True, 4), "vertex True out of range for size 5"),
+    (lambda d, s: brute_force_multiplicity(d, s, 0, -1), "k must be a non-negative integer, not -1"),
+    (lambda d, s: brute_force_multiplicity(d, s, 0, 2.0), "k must be a non-negative integer, not 2.0"),
+    (lambda d, s: brute_force_multiplicity(d, s, 0, True), "k must be a non-negative integer, not True"),
+    (lambda d, s: brute_force_series(d, s, -1), "K must be a non-negative integer, not -1"),
+    (lambda d, s: brute_force_series(d, s, 2.5), "K must be a non-negative integer, not 2.5"),
+    (lambda d, s: multiplicity_vector(d, s, -1), "k must be a non-negative integer, not -1"),
+    (lambda d, s: multiplicity_vector(d, s, False), "k must be a non-negative integer, not False"),
+    (lambda d, s: series_recursion(d, s, 0, -2), "K must be a non-negative integer, not -2"),
+    (lambda d, s: series_recursion(d, s, 0, "3"), "K must be a non-negative integer, not '3'"),
+    (lambda d, s: series_recursion(d, s, 5, 3), "vertex 5 out of range for size 5"),
+    (lambda d, s: series_recursion(d, s, -1, 3), "vertex -1 out of range for size 5"),
+    (lambda d, s: series_recursion(d, s, 1.0, 3), "vertex 1.0 out of range for size 5"),
+    (lambda d, s: series_cramer(d, s, 5), "vertex 5 out of range for size 5"),
+    (lambda d, s: series_cramer(d, s, -1), "vertex -1 out of range for size 5"),
+    (lambda d, s: series_cramer(d, s, 0).coefficient(-1), "k must be a non-negative integer, not -1"),
+    (lambda d, s: series_cramer(d, s, 0).coefficient(1.5), "k must be a non-negative integer, not 1.5"),
+    (lambda d, s: series_cramer(d, s, 0).coefficients(-2), "count must be a non-negative integer, not -2"),
+    (lambda d, s: series_cramer(d, s, 0).coefficients(True), "count must be a non-negative integer, not True"),
+]
+
+
+@pytest.mark.parametrize("call,message", BAD_SERIES_ARGUMENTS)
+def test_a_bad_vertex_or_count_is_a_domain_error(call, message):
+    with pytest.raises(DomainError) as exc:
+        call(*_e6_restriction())
+    assert str(exc.value) == message
+
+
+def test_the_entry_points_keep_their_answers_at_the_edges():
+    data, side = _e6_restriction()
+    assert brute_force_multiplicity(data, side, 0, 0) == 1
+    assert brute_force_multiplicity(data, side, 4, 4) == series_recursion(data, side, 4, 4)[4]
+    assert brute_force_series(data, side, 0) == [[1], [0], [0], [0], [0]]
+    assert multiplicity_vector(data, side, 0).values == (1, 0, 0, 0, 0)
+    assert series_recursion(data, side, 0, 0) == [1]
+    assert series_cramer(data, side, 0).coefficients(0) == []
+    assert series_cramer(data, side, 0).coefficients(5) == [1, 0, 1, 0, 2]
