@@ -34,12 +34,21 @@ class ChebyshevPoly(Record):
         return self.poly(x)
 
 
+def _checked(name: str, value, least: int = 0) -> int:
+    """The one argument check of the Chebyshev entry points: an int (not a
+    bool) of at least `least`."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be " + (f"at least {least}" if least else "non-negative"))
+    return value
+
+
 def chebyshev(kind: str, n: int) -> ChebyshevPoly:
     """T_n or U_n by the three-term recursion p_{n+1} = 2t p_n - p_{n-1}."""
     if kind not in ("first", "second"):
         raise DomainError("kind must be 'first' or 'second'")
-    if n < 0:
-        raise DomainError("degree must be non-negative")
+    _checked("degree", n)
     p0 = IntPoly.const(1)
     p1 = IntPoly((0, 1)) if kind == "first" else IntPoly((0, 2))
     if n == 0:
@@ -52,6 +61,7 @@ def chebyshev(kind: str, n: int) -> ChebyshevPoly:
 
 def chebyshev_additive(kind: str, n: int) -> IntPoly:
     """The binomial closed forms, expanded exactly."""
+    _checked("degree", n)
     if kind == "first":
         # sum over i of C(n, 2i) t^(n-2i) (t^2-1)^i
         acc = IntPoly()
@@ -71,7 +81,7 @@ def chebyshev_additive(kind: str, n: int) -> IntPoly:
 
 def chebyshev_product_value(kind: str, n: int, t: float) -> float:
     """The product closed form, evaluated numerically."""
-    if n == 0:
+    if _checked("degree", n) == 0:
         return 1.0
     if kind == "first":
         return 2.0 ** (n - 1) * math.prod(
@@ -96,8 +106,7 @@ def chebyshev_identities_check(
     """For every n <= n_max: the recursion polynomials equal the additive
     closed forms (exactly), T_n = U_n - t U_{n-1} (exactly), and the product
     forms agree numerically at random points in [-1, 1]."""
-    if n_max < 2:
-        raise DomainError("n_max must be at least 2")
+    _checked("n_max", n_max, 2)
     rng = random.Random(seed)
     failures = []
     T = [chebyshev("first", n).poly for n in range(n_max + 1)]
@@ -133,8 +142,7 @@ def c_family(n: int) -> IntPoly:
     Asserts the reversed-Chebyshev closed form 2 t^{k+1} T_{k+1}(1/(2t)) and
     the binomial form 2^{-k} sum_i C(k+1, 2i) (1 - 4t^2)^i, both exactly.
     """
-    if n < 0:
-        raise DomainError("index must be non-negative")
+    _checked("index", n)
     c0, c1 = IntPoly.const(1), IntPoly((1, 0, -2))
     seq = [c0, c1]
     tsq = IntPoly((0, 0, 1))

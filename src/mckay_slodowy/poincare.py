@@ -17,7 +17,10 @@ from .characters import Character, ClassFunction, table
 from .errors import CheckFailure, DomainError
 from .groups import PAIRS, NormalPair
 # SIDES is re-exported: the side names the series functions take
-from .mckay import SIDES, FusionData, character_product, default_module, fusion_matrices, side_recurrence
+from .mckay import (
+    SIDES, FusionData, character_product, characteristic_identity_check, default_module,
+    fusion_matrices, side_recurrence,
+)
 from .polynomials import IntPoly, poly_gcd
 from .record import Record
 
@@ -164,20 +167,14 @@ def _require_self_dual(V: Character) -> None:
 
 
 def denominator_identity_check(pair: NormalPair, V: Character | None = None) -> IntPoly:
-    """det(I - t A^T) == det(I - t B^T) == prod (1 - chi_V(g) t), exactly."""
-    if V is None:
-        V = default_module(pair)
+    """det(I - t A^T) == det(I - t B^T) == prod (1 - chi_V(g) t), exactly: the
+    characteristic identity read backwards, since all three lists have
+    |Upsilon(N)| + 1 coefficients (the bases check that size) and constant
+    term 1."""
     data = fusion_matrices(pair, V)
-    det_a = IntPoly(side_recurrence(data, "restriction")[0])
-    det_b = IntPoly(side_recurrence(data, "induction")[0])
-    prod = denominator_product(pair, V)
-    if det_a != det_b:
-        raise CheckFailure(f"det(I-tA^T) = {det_a} differs from det(I-tB^T) = {det_b}")
-    if det_a != prod:
-        raise CheckFailure(
-            f"det(I-tA^T) = {det_a} differs from the character product {prod}"
-        )
-    return det_a
+    _require_self_dual(data.V)
+    characteristic_identity_check(data)
+    return IntPoly(side_recurrence(data, "restriction")[0])
 
 
 DEFAULT_BRUTE_FORCE_BOUND = 20

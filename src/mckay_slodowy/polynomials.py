@@ -2,6 +2,7 @@
 machinery needed for Cramer closed forms of generating series."""
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd as int_gcd
 
 from .errors import CheckFailure
@@ -96,6 +97,14 @@ class IntPoly:
         return IntPoly((0,) * k + self.coeffs)
 
     def __call__(self, x):
+        if isinstance(x, Fraction) and self.coeffs:
+            # Horner on numerator and denominator in integers: sum c_i p^i q^(d-i)
+            # over q^d, with one gcd at the end instead of one per step
+            p, q = x.numerator, x.denominator
+            num, den = 0, 1
+            for c in reversed(self.coeffs):
+                num, den = num * p + c * den, den * q
+            return Fraction(num, den // q)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -294,50 +294,63 @@ def identity_fixtures(family_name: str, n: int | None) -> list[tuple]:
     raise DomainError(f"no fixtures for pair family {family_name!r}")
 
 
-def run_identity_fixtures(pair: NormalPair, family_name: str, n: int | None) -> CheckResult:
+def _identity_row(pair: NormalPair, family_name: str, n: int | None):
+    """The title and the check of the pair's decomposition/fusion identities;
+    the check lists every failing record, in fixture order."""
     data = fusion_matrices(pair)
     gt, nt = table(pair.G), table(pair.N)
     fusion_sides = dict(zip(("fuse_res", "fuse_ind"), SIDES))
     fixtures = identity_fixtures(family_name, n)
-    failures = []
-    for record in fixtures:
-        kind, source, expected = record
-        try:
-            if kind == "restrict":
-                got = restrict(pair, gt[source]).as_label_dict()
-            elif kind == "induce":
-                got = induce(pair, nt[source]).as_label_dict()
-            elif kind in fusion_sides:
-                M, basis, _ = data.side(fusion_sides[kind])
-                # a member by the first irreducible it comes from
-                origin = [table(getattr(pair, basis.origin_group)).labels[o[0]] for o in basis.origins]
-                j = basis.index_of_origin(source)
-                got = {origin[i]: M[i][j] for i in range(data.size) if M[i][j]}
-                expected = {origin[basis.index_of_origin(lbl)]: m for lbl, m in expected.items()}
-            else:
-                raise DomainError(kind)
-            if got != expected:
-                failures.append(f"{kind} {source}: expected {expected}, got {got}")
-        except (CheckFailure, DomainError, KeyError, ValueError) as exc:
-            failures.append(f"{kind} {source}: {exc}")
-    name = f"{pair.name} decomposition/fusion identities ({len(fixtures)})"
-    if failures:
-        return CheckResult(name, False, "; ".join(failures))
-    return CheckResult(name, True)
+
+    def check():
+        failures = []
+        for kind, source, expected in fixtures:
+            try:
+                if kind == "restrict":
+                    got = restrict(pair, gt[source]).as_label_dict()
+                elif kind == "induce":
+                    got = induce(pair, nt[source]).as_label_dict()
+                elif kind in fusion_sides:
+                    M, basis, _ = data.side(fusion_sides[kind])
+                    # a member by the first irreducible it comes from
+                    origin = [table(getattr(pair, basis.origin_group)).labels[o[0]] for o in basis.origins]
+                    j = basis.index_of_origin(source)
+                    got = {origin[i]: M[i][j] for i in range(data.size) if M[i][j]}
+                    expected = {origin[basis.index_of_origin(lbl)]: m for lbl, m in expected.items()}
+                else:
+                    raise DomainError(kind)
+                if got != expected:
+                    failures.append(f"{kind} {source}: expected {expected}, got {got}")
+            except (CheckFailure, DomainError, KeyError, ValueError) as exc:
+                failures.append(f"{kind} {source}: {exc}")
+        if failures:
+            raise CheckFailure("; ".join(failures))
+
+    return f"{pair.name} decomposition/fusion identities ({len(fixtures)})", check
 
 
-def _wrap(name: str, fn) -> CheckResult:
+def run_identity_fixtures(pair: NormalPair, family_name: str, n: int | None) -> CheckResult:
+    return _wrap(*_identity_row(pair, family_name, n))
+
+
+def _wrap(name: str, fn, detail: str = "") -> CheckResult:
+    """The one runner: fn fails by raising CheckFailure or DomainError (their
+    text is the detail), ValueError or ArithmeticError (its type and text), or
+    by returning False; otherwise it passes.  `detail` is the row's own text,
+    shown unless an exception replaced it."""
     try:
-        fn()
-        return CheckResult(name, True)
+        ok = fn() is not False
     except (CheckFailure, DomainError) as exc:
         return CheckResult(name, False, str(exc))
     except (ValueError, ArithmeticError) as exc:
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+    return CheckResult(name, ok, detail)
 
 
 def verify_pair(family_name: str, n: int | None = None, k_max: int = 12) -> list[CheckResult]:
-    """Run the full battery of checks on one pair."""
+    """Run the full battery of checks on one pair: one row per check, in
+    report order, each (applies, title, check[, detail]) and run by `_wrap`.
+    Titles that show computed values are computed before any row runs."""
     _check_k_max(k_max)
     if family_name not in PAIR_NAMES:
         raise DomainError(f"unknown pair {family_name!r}; choose from {PAIR_NAMES}")
@@ -346,70 +359,37 @@ def verify_pair(family_name: str, n: int | None = None, k_max: int = 12) -> list
         raise DomainError(f"pair {family_name} requires n")
     pair = normal_pair(family_name, n)
     data = fusion_matrices(pair)
-    results: list[CheckResult] = []
     px = pair.name
-
-    results.append(_wrap(f"{px} exact character tables", lambda: (
-        verify_table(table(pair.G)), verify_table(table(pair.N)))))
-    results.append(
-        CheckResult(
-            f"{px} exhaustive normality",
-            pair.exhaustive_normality_check(),
-        )
-    )
-    results.append(_wrap(f"{px} Frobenius reciprocity", lambda: frobenius_check(pair)))
-    results.append(
-        CheckResult(
-            f"{px} basis sizes equal |Upsilon(N)| = {len(pair.upsilonN)}",
-            data.size == len(pair.upsilonN),
-        )
-    )
-    results.append(run_identity_fixtures(pair, family_name, n))
-
-    want_res, want_ind = row.types(n)
-    affine = want_res != "unrecognized"
-    got_res = graph(data, "restriction").dynkin_type
-    got_ind = graph(data, "induction").dynkin_type
-    results.append(
-        CheckResult(
-            f"{px} Dynkin types ({got_res}, {got_ind})",
-            (got_res, got_ind) == (want_res, want_ind),
-            f"expected ({want_res}, {want_ind})",
-        )
-    )
-    if affine:
-        results.append(_wrap(f"{px} null vectors", lambda: null_vector_check(data)))
-    results.append(_wrap(f"{px} eigenvector structure", lambda: eigenvector_check(data)))
-    results.append(
-        _wrap(f"{px} characteristic polynomial identity", lambda: characteristic_identity_check(data))
-    )
-    results.append(
-        _wrap(f"{px} denominator identity", lambda: denominator_identity_check(pair))
-    )
-    results.append(
-        _wrap(
-            f"{px} series triple equivalence (k <= {k_max})",
-            lambda: triple_equivalence_check(data, k_max),
-        )
-    )
-    results.append(_wrap(f"{px} invariants series equality", lambda: invariants_series_check(pair)))
-    if row.relation:
-        results.append(
-            _wrap(f"{px} index-correspondence relations", lambda: corollary_relation_check(pair))
-        )
-    if affine:
-        results.append(_wrap(f"{px} spectrum exponents", lambda: spectrum_exponents_check(data)))
-    if row.closed_form:
-        results.append(_wrap(f"{px} closed-form invariants", lambda: closed_form_check(family_name, n)))
-    for grp in (pair.G, pair.N):
-        if grp.order <= 48:
-            results.append(
-                _wrap(
-                    f"{px} numeric table agreement for {grp.name}",
-                    lambda g=grp: numeric_table_agreement(g),
-                )
-            )
-    return results
+    want = row.types(n)
+    got = (graph(data, "restriction").dynkin_type, graph(data, "induction").dynkin_type)
+    affine = want[0] != "unrecognized"
+    checks = [
+        (True, f"{px} exact character tables", lambda: (
+            verify_table(table(pair.G)), verify_table(table(pair.N)))),
+        (True, f"{px} exhaustive normality", pair.exhaustive_normality_check),
+        (True, f"{px} Frobenius reciprocity", lambda: frobenius_check(pair)),
+        (True, f"{px} basis sizes equal |Upsilon(N)| = {len(pair.upsilonN)}",
+         lambda: data.size == len(pair.upsilonN)),
+        (True, *_identity_row(pair, family_name, n)),
+        (True, f"{px} Dynkin types ({got[0]}, {got[1]})", lambda: got == want,
+         f"expected ({want[0]}, {want[1]})"),
+        (affine, f"{px} null vectors", lambda: null_vector_check(data)),
+        (True, f"{px} eigenvector structure", lambda: eigenvector_check(data)),
+        (True, f"{px} characteristic polynomial identity",
+         lambda: characteristic_identity_check(data)),
+        (True, f"{px} denominator identity", lambda: denominator_identity_check(pair)),
+        (True, f"{px} series triple equivalence (k <= {k_max})",
+         lambda: triple_equivalence_check(data, k_max)),
+        (True, f"{px} invariants series equality", lambda: invariants_series_check(pair)),
+        (row.relation, f"{px} index-correspondence relations",
+         lambda: corollary_relation_check(pair)),
+        (affine, f"{px} spectrum exponents", lambda: spectrum_exponents_check(data)),
+        (row.closed_form, f"{px} closed-form invariants",
+         lambda: closed_form_check(family_name, n)),
+        *((grp.order <= 48, f"{px} numeric table agreement for {grp.name}",
+           lambda g=grp: numeric_table_agreement(g)) for grp in (pair.G, pair.N)),
+    ]
+    return [_wrap(*check) for applies, *check in checks if applies]
 
 
 def _check_k_max(k_max: int) -> None:
@@ -449,6 +429,10 @@ def numeric_table_agreement(group) -> None:
 
 
 def default_pair_arguments(n_max: int = 8) -> list[tuple[str, int | None]]:
+    if type(n_max) is not int:
+        raise DomainError(f"n_max must be an integer, not {n_max!r}")
+    if n_max < 2:
+        raise DomainError(f"n_max must be at least 2, got {n_max}")
     out: list[tuple[str, int | None]] = []
     for name, row in PAIRS.items():
         if row.n_min is None:
@@ -461,21 +445,14 @@ def default_pair_arguments(n_max: int = 8) -> list[tuple[str, int | None]]:
 def verify_all(n_max: int = 8, k_max: int = 12) -> list[CheckResult]:
     """Every fixture and invariant for the default parameter ranges."""
     _check_k_max(k_max)
-    if type(n_max) is not int:
-        raise DomainError(f"n_max must be an integer, not {n_max!r}")
-    if n_max < 2:
-        raise DomainError(f"n_max must be at least 2, got {n_max}")
     results: list[CheckResult] = []
     for name, n in default_pair_arguments(n_max):
         results.extend(verify_pair(name, n, k_max=k_max))
-    fails = chebyshev_identities_check(50)
-    results.append(
-        CheckResult(
-            "Chebyshev identity suite (n <= 50)",
-            not fails,
-            "; ".join(f"{f.identity} at n={f.n}" for f in fails),
-        )
-    )
+
+    def chebyshev_suite():
+        fails = chebyshev_identities_check(50)
+        if fails:
+            raise CheckFailure("; ".join(f"{f.identity} at n={f.n}" for f in fails))
 
     def duality():
         # every catalog label with exponent data, up to rank 8
@@ -489,6 +466,7 @@ def verify_all(n_max: int = 8, k_max: int = 12) -> list[CheckResult]:
             if not exponent_duality_holds(exponents_catalog(lbl)):
                 raise CheckFailure(f"exponent duality fails for {lbl}")
 
+    results.append(_wrap("Chebyshev identity suite (n <= 50)", chebyshev_suite))
     results.append(_wrap("exponent duality across the catalog", duality))
     return results
 

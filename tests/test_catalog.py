@@ -8,7 +8,7 @@ from mckay_slodowy.cli import run
 from mckay_slodowy.errors import ClosureBoundExceeded, DomainError
 from mckay_slodowy.groups import family, normal_pair
 from mckay_slodowy.poincare import corollary_relation_check
-from mckay_slodowy.verify import verify_all, verify_pair
+from mckay_slodowy.verify import default_pair_arguments, verify_all, verify_pair
 
 CLASS_LABELS = {
     ("cyclic", 2): ["1", "z"],
@@ -135,6 +135,13 @@ ERRORS = [
     (verify_all, (), {"k_max": 2.5}, DomainError, "k_max must be an integer, not 2.5"),
     (verify_all, (), {"n_max": 1}, DomainError, "n_max must be at least 2, got 1"),
     (verify_all, (), {"k_max": -1}, DomainError, "k_max must be in 0..20, got -1"),
+    # default_pair_arguments checks n_max itself (2.5 was a TypeError; -3, 1
+    # and True returned only the four fixed pairs)
+    (default_pair_arguments, (2.5,), {}, DomainError, "n_max must be an integer, not 2.5"),
+    (default_pair_arguments, (True,), {}, DomainError, "n_max must be an integer, not True"),
+    (default_pair_arguments, ("8",), {}, DomainError, "n_max must be an integer, not '8'"),
+    (default_pair_arguments, (1,), {}, DomainError, "n_max must be at least 2, got 1"),
+    (default_pair_arguments, (-3,), {}, DomainError, "n_max must be at least 2, got -3"),
 ]
 
 

@@ -72,6 +72,31 @@ def test_identity_suite_clean_to_50():
         chebyshev_identities_check(1)
 
 
+BAD_ARGUMENTS = [
+    # (once a TypeError, a ChebyshevPoly of degree True, the zero polynomial,
+    # and 0.25)
+    (chebyshev, ("first", 2.5), "degree must be an integer, not 2.5"),
+    (chebyshev, ("second", True), "degree must be an integer, not True"),
+    (chebyshev, ("first", -1), "degree must be non-negative"),
+    (chebyshev_additive, ("first", -2), "degree must be non-negative"),
+    (chebyshev_additive, ("second", 2.0), "degree must be an integer, not 2.0"),
+    (chebyshev_product_value, ("first", -1, 0.3), "degree must be non-negative"),
+    (chebyshev_product_value, ("second", "3", 0.3), "degree must be an integer, not '3'"),
+    (c_family, (2.5,), "index must be an integer, not 2.5"),
+    (c_family, (False,), "index must be an integer, not False"),
+    (c_family, (-1,), "index must be non-negative"),
+    (chebyshev_identities_check, (2.5,), "n_max must be an integer, not 2.5"),
+    (chebyshev_identities_check, (1,), "n_max must be at least 2"),
+]
+
+
+@pytest.mark.parametrize("fn,args,message", BAD_ARGUMENTS)
+def test_the_entry_points_reject_a_bad_integer_argument(fn, args, message):
+    with pytest.raises(DomainError) as exc:
+        fn(*args)
+    assert str(exc.value) == message
+
+
 def test_c_family_values():
     assert c_family(0) == IntPoly([1])
     assert c_family(1) == IntPoly([1, 0, -2])

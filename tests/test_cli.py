@@ -393,6 +393,76 @@ def test_verify_reports_value_errors_as_a_named_failure():
     assert result.detail == "ValueError: Exceeds the limit (4300 digits)"
 
 
+def test_a_check_fails_by_raising_or_by_returning_false():
+    from mckay_slodowy.errors import CheckFailure, DomainError
+    from mckay_slodowy.verify import CheckResult, _wrap
+
+    def raises(exc):
+        def fn():
+            raise exc
+        return fn
+
+    assert _wrap("t", lambda: None) == CheckResult("t", True, "")
+    assert _wrap("t", lambda: [], "shown") == CheckResult("t", True, "shown")
+    assert _wrap("t", lambda: False, "shown") == CheckResult("t", False, "shown")
+    assert _wrap("t", raises(CheckFailure("x")), "shown") == CheckResult("t", False, "x")
+    assert _wrap("t", raises(DomainError("y"))) == CheckResult("t", False, "y")
+    assert _wrap("t", raises(ZeroDivisionError("z"))) == CheckResult("t", False, "ZeroDivisionError: z")
+    with pytest.raises(KeyError):
+        _wrap("t", raises(KeyError("k")))
+
+
+def test_a_raising_normality_check_is_a_failed_row(monkeypatch):
+    # the normality check once built its row itself, and the exception escaped
+    from mckay_slodowy.errors import CheckFailure
+    from mckay_slodowy.groups import NormalPair
+    from mckay_slodowy.verify import verify_pair
+
+    def fail(self):
+        raise CheckFailure("x")
+
+    monkeypatch.setattr(NormalPair, "exhaustive_normality_check", fail)
+    results = verify_pair("A2^2", k_max=0)
+    rows = [r for r in results if r.name.endswith("exhaustive normality")]
+    assert [(r.ok, r.detail) for r in rows] == [(False, "x")]
+    assert sum(not r.ok for r in results) == 1
+
+
+def test_a_raising_chebyshev_suite_is_a_failed_row(monkeypatch):
+    from mckay_slodowy import verify
+    from mckay_slodowy.errors import CheckFailure
+
+    def fail(n_max):
+        raise CheckFailure("x")
+
+    monkeypatch.setattr(verify, "chebyshev_identities_check", fail)
+    results = verify.verify_all(n_max=2, k_max=0)
+    rows = [r for r in results if r.name == "Chebyshev identity suite (n <= 50)"]
+    assert [(r.ok, r.detail) for r in rows] == [(False, "x")]
+    assert sum(not r.ok for r in results) == 1
+
+
+def test_the_identity_row_lists_every_failing_record_in_order(monkeypatch):
+    from mckay_slodowy import verify
+    from mckay_slodowy.groups import normal_pair
+
+    real = verify.identity_fixtures("A2^2", None)
+    bad = [
+        ("restrict", "delta_1", {"xi_1": 3}),
+        real[0],
+        ("induce", "no_such_label", {}),
+        ("fuse_res", "delta_0^+", {"delta_1": 2}),
+    ]
+    monkeypatch.setattr(verify, "identity_fixtures", lambda name, n: bad)
+    result = verify.run_identity_fixtures(normal_pair("A2^2"), "A2^2", None)
+    assert result.name.endswith("decomposition/fusion identities (4)")
+    assert not result.ok
+    parts = result.detail.split("; ")
+    assert [p.split(":")[0] for p in parts] == [
+        "restrict delta_1", "induce no_such_label", "fuse_res delta_0^+"]
+    assert parts[0] == "restrict delta_1: expected {'xi_1': 3}, got {'xi_1': 2}"
+
+
 # -- argv fuzz: every input gets a defined exit code ---------------------------
 
 

@@ -449,3 +449,28 @@ def test_the_entry_points_keep_their_answers_at_the_edges():
     assert series_recursion(data, side, 0, 0) == [1]
     assert series_cramer(data, side, 0).coefficients(0) == []
     assert series_cramer(data, side, 0).coefficients(5) == [1, 0, 1, 0, 2]
+
+
+@pytest.mark.parametrize("name,n", [("A2n-1^2", 3), ("Dn+1^2", 2), ("E6^2", None), ("S4A4", None)])
+def test_the_denominator_identity_is_the_characteristic_identity_read_backwards(monkeypatch, name, n):
+    from mckay_slodowy.errors import CheckFailure
+
+    pair = normal_pair(name, n)
+    data = fusion_matrices(pair)
+    det = denominator_identity_check(pair)
+    assert det == denominator_product(pair)
+    assert det == IntPoly(mckay.side_recurrence(data, "induction")[0])
+    # det(I - t A^T) is trimmed where A is singular; char(A) keeps t^size
+    padded = det.coeffs + (0,) * (data.size + 1 - len(det.coeffs))
+    assert characteristic_identity_check(data).coeffs[::-1] == padded
+
+    real = mckay.character_product
+    # one coefficient of prod (1 - chi_V(g) t) moved by one
+    monkeypatch.setattr(mckay, "character_product", lambda p, V: (*real(p, V)[:-1], real(p, V)[-1] + 1))
+    texts = []
+    for check in (lambda: characteristic_identity_check(data), lambda: denominator_identity_check(pair)):
+        with pytest.raises(CheckFailure) as exc:
+            check()
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+    assert "differs from the eigenvalue product" in texts[0]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mckay_slodowy.errors import CheckFailure
@@ -23,6 +23,34 @@ def test_basic_arithmetic():
     assert IntPoly([0, 1]) ** 3 == IntPoly([0, 0, 0, 1])
     assert p(2) == 1 - 16
     assert p(Fraction(1, 2)) == 0
+
+
+def _generic_horner(poly, x):
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-10**30, max_value=10**30), max_size=30),
+    st.one_of(
+        st.fractions(),
+        st.integers(min_value=-50, max_value=50).map(Fraction),
+        st.floats(min_value=-1, max_value=1).map(Fraction),
+    ),
+)
+@example([], Fraction(-3, 7))
+@example([5], Fraction(0))
+@example([0, 0, 3], Fraction(0))
+@example([-1, 2, -3, 4], Fraction(-1))
+@example([-1, 2, -3, 4], Fraction(0.3))
+def test_a_fraction_argument_gets_the_generic_horner_value(coeffs, x):
+    p = IntPoly(coeffs)
+    got, want = p(x), _generic_horner(p, x)
+    assert got == want
+    assert type(got) is type(want)
 
 
 def test_exact_division():
