@@ -32,7 +32,8 @@ class ClassFunction:
     It is held in either of two forms, and the other is built on first use.
     One is the canonical values.  The other is the lifted form (m, D, cols):
     cols[c] holds the sparse (exponent mod m, integer) terms of D * f(c) in
-    Z[x]/(x^m - 1), where zeta_m^j is x^j.  The terms are not reduced modulo
+    Z[x]/(x^m - 1), where zeta_m^j is x^j: a value's own integers over its
+    denominator, re-indexed to m and scaled to D.  The terms are not reduced modulo
     Phi_m: pairing with a table is a ring map, and _pairings reduces once
     per irreducible.  Sums, scalars, conjugates, products, induction and the
     pairings run on the lifted form; `values` reduces and canonicalises each
@@ -85,9 +86,9 @@ class ClassFunction:
         if lf is None:
             vals = self._values
             m = lcm(self.group.exponent(), *(v.conductor for v in vals))
-            den = lcm(1, *(c.denominator for v in vals for _, c in v.terms()))
+            den = lcm(1, *(v.den for v in vals))
             lf = (m, den, tuple(
-                tuple((j * (m // v.conductor), int(c * den)) for j, c in v.terms())
+                tuple((j * (m // v.conductor), c * (den // v.den)) for j, c in v.terms())
                 for v in vals
             ))
             object.__setattr__(self, "_lifted", lf)
@@ -264,14 +265,14 @@ def _table_dual(tbl: CharacterTable, m: int):
     sends x^a to x^-a: (M, D, dual) with D one shared denominator and
     dual[c] the terms (i*M, b, w) of |c| * D * conj(chi_i(c)) = sum of w * x^b."""
     m = lcm(m, *(v.conductor for chi in tbl for v in chi.values))
-    den = lcm(1, *(c.denominator for chi in tbl for v in chi.values for _, c in v.terms()))
+    den = lcm(1, *(v.den for chi in tbl for v in chi.values))
     dual = []
     for c, size in enumerate(tbl.group.class_sizes()):
         col = []
         for i, chi in enumerate(tbl):
             v = chi.values[c]
-            step = m // v.conductor
-            col.extend((i * m, -j * step % m, int(size * den * a)) for j, a in v.terms())
+            step, scale = m // v.conductor, size * (den // v.den)
+            col.extend((i * m, -j * step % m, scale * a) for j, a in v.terms())
         dual.append(tuple(col))
     return m, den, tuple(dual)
 

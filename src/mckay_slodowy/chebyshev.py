@@ -44,10 +44,16 @@ def _checked(name: str, value, least: int = 0) -> int:
     return value
 
 
-def chebyshev(kind: str, n: int) -> ChebyshevPoly:
-    """T_n or U_n by the three-term recursion p_{n+1} = 2t p_n - p_{n-1}."""
+def _checked_kind(kind: str) -> str:
+    """The one kind check of the Chebyshev entry points, made before any work."""
     if kind not in ("first", "second"):
         raise DomainError("kind must be 'first' or 'second'")
+    return kind
+
+
+def chebyshev(kind: str, n: int) -> ChebyshevPoly:
+    """T_n or U_n by the three-term recursion p_{n+1} = 2t p_n - p_{n-1}."""
+    _checked_kind(kind)
     _checked("degree", n)
     p0 = IntPoly.const(1)
     p1 = IntPoly((0, 1)) if kind == "first" else IntPoly((0, 2))
@@ -61,6 +67,7 @@ def chebyshev(kind: str, n: int) -> ChebyshevPoly:
 
 def chebyshev_additive(kind: str, n: int) -> IntPoly:
     """The binomial closed forms, expanded exactly."""
+    _checked_kind(kind)
     _checked("degree", n)
     if kind == "first":
         # sum over i of C(n, 2i) t^(n-2i) (t^2-1)^i
@@ -70,28 +77,25 @@ def chebyshev_additive(kind: str, n: int) -> IntPoly:
             term = math.comb(n, 2 * i) * (tsq_minus_1**i).shift(n - 2 * i)
             acc = acc + term
         return acc
-    if kind == "second":
-        acc = IntPoly()
-        for i in range(n // 2 + 1):
-            c = (-1) ** i * math.comb(n - i, i) * 2 ** (n - 2 * i)
-            acc = acc + IntPoly.const(c).shift(n - 2 * i)
-        return acc
-    raise DomainError("kind must be 'first' or 'second'")
+    acc = IntPoly()
+    for i in range(n // 2 + 1):
+        c = (-1) ** i * math.comb(n - i, i) * 2 ** (n - 2 * i)
+        acc = acc + IntPoly.const(c).shift(n - 2 * i)
+    return acc
 
 
 def chebyshev_product_value(kind: str, n: int, t: float) -> float:
     """The product closed form, evaluated numerically."""
+    _checked_kind(kind)
     if _checked("degree", n) == 0:
         return 1.0
     if kind == "first":
         return 2.0 ** (n - 1) * math.prod(
             t - math.cos((2 * i - 1) * math.pi / (2 * n)) for i in range(1, n + 1)
         )
-    if kind == "second":
-        return 2.0**n * math.prod(
-            t - math.cos(math.pi * i / (n + 1)) for i in range(1, n + 1)
-        )
-    raise DomainError("kind must be 'first' or 'second'")
+    return 2.0**n * math.prod(
+        t - math.cos(math.pi * i / (n + 1)) for i in range(1, n + 1)
+    )
 
 
 class IdentityFailure(Record):

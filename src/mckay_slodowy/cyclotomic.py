@@ -1,11 +1,13 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_n).
 
-Values are stored as rational coefficient vectors over the power basis
+A value is stored as (n, D, ints): integer coordinates over the power basis
 1, zeta_n, ..., zeta_n^{phi(n)-1}, reduced modulo the n-th cyclotomic
-polynomial and lowered to the minimal conductor, so equality and hashing
-are structural.  Conductor 1 is the rationals; square roots that occur in
-character tables stay inside this domain (sqrt(2) = zeta_8 + zeta_8^-1,
-sqrt(-1) = zeta_4).
+polynomial, over one positive denominator D with gcd(D, ints) = 1, and at
+the minimal conductor n.  The form is unique, so equality and hashing are
+structural, and arithmetic runs on integers; Fractions appear only at the
+edges (`Rational`, `to_rational`, `coeffs`, parsing, display).  Conductor 1
+is the rationals; square roots that occur in character tables stay inside
+this domain (sqrt(2) = zeta_8 + zeta_8^-1, sqrt(-1) = zeta_4).
 """
 from __future__ import annotations
 
@@ -79,50 +81,51 @@ def reduce_mod_phi(n: int, coeffs: list) -> list:
     return c
 
 
-def _galois_apply(n: int, coeffs: tuple[Fraction, ...], k: int) -> list[Fraction]:
-    # sum_j coeffs[j] zeta_n^(jk), reduced: for k coprime to n the automorphism
-    # zeta -> zeta^k, for k = n/d the embedding of coordinates at conductor d
-    out = [Fraction(0)] * n
-    for j, cj in enumerate(coeffs):
-        if cj:
-            out[(j * k) % n] += cj
+def _galois_apply(n: int, ints, k: int) -> list:
+    # sum_j ints[j] zeta_n^(jk), reduced: for k coprime to n the automorphism
+    # zeta -> zeta^k, for k = n/d the embedding of coordinates at conductor d;
+    # both keep a vector's content, so the image stays over the same D
+    out = [0] * n
+    for j, c in enumerate(ints):
+        if c:
+            out[(j * k) % n] += c
     return reduce_mod_phi(n, out)
 
 
-def _lower_once(n: int, coeffs: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]] | None:
-    """(d, x's coordinates at d) for the first prime p of n with x in
+def _lower_once(n: int, den: int, ints: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]] | None:
+    """(d, D', x's coordinates at d) for the first prime p of n with x in
     Q(zeta_d), d = n/p, else None: x lies there when E = Tr/[Q(zeta_n):Q(zeta_d)]
     (Washington, GTM 83, ch. 2) fixes it.  If p^2 | n, E keeps the coefficients
     at multiples of p, x's coordinates at d; if p || n, E sends zeta_n^i to
-    w_i zeta_d^(iq), q = p^-1 mod d, w_i = 1 if p | i else -1/(p - 1)."""
+    w_i zeta_d^(iq), q = p^-1 mod d, w_i = 1 if p | i else -1/(p - 1): integral
+    over (p - 1) * D.  E(x) = x keeps the denominator, as embeddings do."""
     for p in prime_factors(n):
         d = n // p
         if d % p == 0:
-            if not any(c for i, c in enumerate(coeffs) if i % p):
-                return d, coeffs[::p]
+            if not any(c for i, c in enumerate(ints) if i % p):
+                return d, den, ints[::p]
             continue
-        q, w = pow(p, -1, d), Fraction(-1, p - 1)
-        y = [Fraction(0)] * d
-        for i, c in enumerate(coeffs):
+        q, y = pow(p, -1, d), [0] * d
+        for i, c in enumerate(ints):
             if c:
-                y[i * q % d] += c if i % p == 0 else c * w
-        y = tuple(reduce_mod_phi(d, y))
-        if p == 2 or tuple(_galois_apply(n, y, p)) == coeffs:
-            return d, y
+                y[i * q % d] += c * (p - 1) if i % p == 0 else -c
+        y_den, (y,) = normalise_lifted(den * (p - 1), [reduce_mod_phi(d, y)])
+        if p == 2 or (y_den == den and tuple(_galois_apply(n, y, p)) == ints):
+            return d, y_den, y
     return None
 
 
 @lru_cache(maxsize=1 << 18)
-def _canonical_cached(n: int, cur: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
+def _canonical_cached(n: int, den: int, ints: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
     # Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)): greedy steps end at the least conductor
     while n > 1:
-        if all(c == 0 for c in cur[1:]):
-            return 1, (cur[0],)
-        lowered = _lower_once(n, cur)
+        if not any(ints[1:]):
+            return 1, den, ints[:1]
+        lowered = _lower_once(n, den, ints)
         if lowered is None:
             break
-        n, cur = lowered
-    return n, cur
+        n, den, ints = lowered
+    return n, den, ints
 
 
 # value-pair product cache; character values recur from a small set, so the
@@ -132,62 +135,76 @@ _CACHE_LIMIT = 1 << 20
 
 
 class Cyclotomic:
-    """An exact element of Q(zeta_n), immutable and hashable."""
+    """An exact element of Q(zeta_n), immutable and hashable: the integer
+    coordinates `ints` at the minimal conductor over the denominator `den`."""
 
-    __slots__ = ("conductor", "coeffs", "_hash", "_conj", "_terms")
+    __slots__ = ("conductor", "den", "ints", "_hash", "_conj")
 
     def __init__(self, value: int | Fraction | "Cyclotomic" = 0):
         if isinstance(value, Cyclotomic):
-            object.__setattr__(self, "conductor", value.conductor)
-            object.__setattr__(self, "coeffs", value.coeffs)
+            self._set(value.conductor, value.den, value.ints)
+        elif isinstance(value, (int, Fraction)):
+            self._set(1, value.denominator, (int(value.numerator),))
         else:
-            object.__setattr__(self, "conductor", 1)
-            object.__setattr__(self, "coeffs", (Fraction(value),))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_conj", None)
-        object.__setattr__(self, "_terms", None)
+            raise TypeError(f"a Cyclotomic is an int, a Fraction or a Cyclotomic, not {type(value).__name__}")
+
+    def _set(self, n: int, den: int, ints: tuple[int, ...]) -> None:
+        for name, value in zip(self.__slots__, (n, den, ints, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
 
     @classmethod
-    def _raw(cls, n: int, coeffs: list[Fraction]) -> "Cyclotomic":
-        """Construct from reduced coefficients (length phi(n)); canonicalizes."""
-        return cls._canonical_form(*_canonical_cached(n, tuple(coeffs)))
+    def _unlift(cls, n: int, den: int, ints) -> "Cyclotomic":
+        """The canonical value of sum_j ints[j] zeta_n^j / den, for integer
+        coordinates reduced modulo Phi_n and a positive denominator; the one
+        constructor, public as `unlift`.  A rational value and a single root
+        of unity +-zeta_n^k are built directly."""
+        den, (ints,) = normalise_lifted(den, (ints,))
+        if not any(ints[1:]):
+            return cls._canonical_form(1, den, ints[:1])
+        if den == 1:
+            exponents = _root_exponents(n)
+            k = exponents.get(ints)
+            if k is not None:
+                return root_of_unity(n, k)
+            k = exponents.get(tuple(-c for c in ints))
+            if k is not None:
+                return -root_of_unity(n, k)
+        return cls._canonical_form(*_canonical_cached(n, den, ints))
 
     @classmethod
-    def _canonical_form(cls, n: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
-        """Construct from coefficients that are already canonical at conductor n."""
+    def _canonical_form(cls, n: int, den: int, ints: tuple[int, ...]) -> "Cyclotomic":
+        """Construct from coordinates that are already canonical at conductor n."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "conductor", n)
-        object.__setattr__(obj, "coeffs", coeffs)
-        object.__setattr__(obj, "_hash", None)
-        object.__setattr__(obj, "_conj", None)
-        object.__setattr__(obj, "_terms", None)
+        obj._set(n, den, ints)
         return obj
 
-    def _scaled(self, r: Fraction) -> "Cyclotomic":
-        """self * r for a rational r.  Lowering is linear, so a nonzero
-        multiple of a canonical value is canonical at the same conductor."""
-        if r == 1:
+    def _scaled(self, num: int, den: int = 1) -> "Cyclotomic":
+        """self * num/den for integers num and den > 0.  Lowering is linear,
+        so a nonzero multiple of a canonical value is canonical at the same
+        conductor."""
+        if num == den:
             return self
-        if r == 0:
+        if not num:
             return Cyclotomic(0)
-        return Cyclotomic._canonical_form(self.conductor, tuple(c * r for c in self.coeffs))
+        den, (ints,) = normalise_lifted(self.den * den, ([c * num for c in self.ints],))
+        return Cyclotomic._canonical_form(self.conductor, den, ints)
 
-    def terms(self) -> tuple[tuple[int, int | Fraction], ...]:
-        """The nonzero (j, coefficient of zeta_n^j) pairs, each coefficient an
-        int when it is integral; computed once per value."""
-        t = self._terms
-        if t is None:
-            t = tuple((j, _integral(c)) for j, c in enumerate(self.coeffs) if c)
-            object.__setattr__(self, "_terms", t)
-        return t
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients at the conductor, as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero (j, den * coefficient of zeta_n^j) pairs, all integers."""
+        return tuple((j, c) for j, c in enumerate(self.ints) if c)
 
     # -- predicates / conversions ------------------------------------
 
     def is_zero(self) -> bool:
-        return self.conductor == 1 and not self.coeffs[0]
+        return self.conductor == 1 and not self.ints[0]
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -195,29 +212,29 @@ class Cyclotomic:
     def to_rational(self) -> Fraction:
         if self.conductor != 1:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.ints[0], self.den)
 
     def is_integer(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0].denominator == 1
+        return self.conductor == 1 and self.den == 1
 
     def to_integer(self) -> int:
-        r = self.to_rational()
-        if r.denominator != 1:
-            raise ValueError(f"{self} is not an integer")
-        return r.numerator
+        if not self.is_integer():
+            raise ValueError(f"{self} is not {'an integer' if self.is_rational() else 'rational'}")
+        return self.ints[0]
 
     def to_complex(self) -> complex:
-        n = self.conductor
+        n, den = self.conductor, self.den
         return sum(
-            complex(c) * cmath.exp(2j * cmath.pi * j / n)
-            for j, c in enumerate(self.coeffs)
+            complex(c / den) * cmath.exp(2j * cmath.pi * j / n)
+            for j, c in enumerate(self.ints)
             if c
         ) or complex(0)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _embedded(self, m: int) -> list[Fraction]:
-        return _galois_apply(m, self.coeffs, m // self.conductor)
+    def _embedded(self, m: int) -> list[int]:
+        """The coordinates at conductor m (a multiple of the conductor), over `den`."""
+        return _galois_apply(m, self.ints, m // self.conductor)
 
     @staticmethod
     def _coerce(x) -> "Cyclotomic | None":
@@ -231,14 +248,14 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m = lcm(self.conductor, o.conductor)
-        a, b = self._embedded(m), o._embedded(m)
-        return Cyclotomic._raw(m, [x + y for x, y in zip(a, b)])
+        m, den = lcm(self.conductor, o.conductor), lcm(self.den, o.den)
+        s, t = den // self.den, den // o.den
+        return Cyclotomic._unlift(m, den, [s * x + t * y for x, y in zip(self._embedded(m), o._embedded(m))])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._scaled(Fraction(-1))
+        return self._scaled(-1)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -254,22 +271,22 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         if o.is_rational():
-            return self._scaled(o.coeffs[0])
+            return self._scaled(o.ints[0], o.den)
         if self.is_rational():
-            return o._scaled(self.coeffs[0])
+            return o._scaled(self.ints[0], self.den)
         key = (self, o)
         hit = _MUL_CACHE.get(key)
         if hit is not None:
             return hit
         m = lcm(self.conductor, o.conductor)
         a, b = self._embedded(m), o._embedded(m)
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        result = Cyclotomic._raw(m, reduce_mod_phi(m, prod))
+        result = Cyclotomic._unlift(m, self.den * o.den, reduce_mod_phi(m, prod))
         if len(_MUL_CACHE) < _CACHE_LIMIT:
             _MUL_CACHE[key] = result
         return result
@@ -283,7 +300,7 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("division by zero cyclotomic value")
         if self.is_rational():
-            return Cyclotomic(1 / self.coeffs[0])
+            return Cyclotomic(Fraction(self.den, self.ints[0]))
         n = self.conductor
         d = n // prime_factors(n)[0]
         others = prod((self.galois(k) for k in range(1 + d, n, d) if gcd(k, n) == 1), start=Cyclotomic(1))
@@ -319,7 +336,7 @@ class Cyclotomic:
         if gcd(k, n) != 1:
             raise ValueError(f"{k} is not coprime to conductor {n}")
         # a conjugate generates the same field, so it keeps the conductor
-        return Cyclotomic._canonical_form(n, tuple(_galois_apply(n, self.coeffs, k % n)))
+        return Cyclotomic._canonical_form(n, self.den, tuple(_galois_apply(n, self.ints, k % n)))
 
     def conj(self) -> "Cyclotomic":
         if self.conductor == 1:
@@ -336,13 +353,13 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.conductor == o.conductor and self.coeffs == o.coeffs
+        return self.conductor == o.conductor and self.den == o.den and self.ints == o.ints
 
     def __hash__(self):
         # a rational value equals its Fraction, so it hashes as one
         h = self._hash
         if h is None:
-            h = hash(self.coeffs[0] if self.conductor == 1 else (self.conductor, self.coeffs))
+            h = hash(self.to_rational() if self.conductor == 1 else (self.conductor, self.den, self.ints))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -350,26 +367,25 @@ class Cyclotomic:
         return not self.is_zero()
 
     def to_text(self) -> str:
-        body = ", ".join(str(c) for c in self.coeffs)
+        # integral coordinates print as their Fractions do, without building them
+        body = ", ".join(map(str, self.ints if self.den == 1 else self.coeffs))
         return f"cyc({self.conductor})[{body}]"
 
     def pretty(self) -> str:
         """Compact display: rationals plainly, single roots of unity as
         r*z{n}^k, anything else as a sum over the power basis."""
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(self.to_rational())
         n = self.conductor
         # r*zeta_n^k has coordinates |r| times a primitive integer vector (a
         # unit's), so divide by the content and look the vector and its
         # negative up; for even n both hit, and the smaller k is shown
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        g = gcd(*ints)
+        g = gcd(*self.ints)
         exponents = _root_exponents(n)
-        hits = [(exponents[u], s) for s in (1, -1) if (u := tuple(s * c // g for c in ints)) in exponents]
+        hits = [(exponents[u], s) for s in (1, -1) if (u := tuple(s * c // g for c in self.ints)) in exponents]
         if hits:
             k, s = min(hits)
-            r = Fraction(s * g, den)
+            r = Fraction(s * g, self.den)
             head = "" if r == 1 else ("-" if r == -1 else f"{r}*")
             return head + f"z{n}" + (f"^{k}" if k > 1 else "")
         parts = []
@@ -417,29 +433,25 @@ class Cyclotomic:
         n, coeffs = n // g, coeffs[::g]
         if n == 1:
             return cls(sum(coeffs))
-        coeffs += [Fraction(0)] * (euler_phi(n) - len(coeffs))
-        return cls._raw(n, reduce_mod_phi(n, coeffs))
+        den = lcm(*(c.denominator for c in coeffs))
+        return cls._unlift(n, den, reduce_mod_phi(n, [c.numerator * (den // c.denominator) for c in coeffs]))
 
     def __repr__(self):
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(self.to_rational())
         return self.to_text()
-
-
-def _integral(c: Fraction) -> int | Fraction:
-    return c.numerator if c.denominator == 1 else c
 
 
 # -- the lifted form: values of Q(zeta_m) on one integer denominator ---------
 
 
 def lift(values, m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Values lying in Q(zeta_m) as one positive denominator D and the integer
-    vectors D * (power-basis coefficients at conductor m, reduced modulo Phi_m),
-    with gcd(D, every coefficient) = 1.  The form is unique and hashable."""
-    vecs = [v._embedded(m) for v in values]
-    den = lcm(1, *(c.denominator for v in vecs for c in v))
-    return normalise_lifted(den, [[(c * den).numerator for c in v] for v in vecs])
+    """Values lying in Q(zeta_m) as one positive denominator D, the lcm of
+    theirs, and the integer vectors D * (power-basis coefficients at conductor
+    m, reduced modulo Phi_m); each value's own gcd(den, ints) = 1 makes
+    gcd(D, every coefficient) = 1.  The form is unique and hashable."""
+    den = lcm(1, *(v.den for v in values))
+    return den, tuple(tuple(c * (den // v.den) for c in v._embedded(m)) for v in values)
 
 
 def normalise_lifted(den: int, vecs) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -450,23 +462,7 @@ def normalise_lifted(den: int, vecs) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return den // g, tuple(tuple(c // g for c in v) for v in vecs)
 
 
-def unlift(m: int, den: int, vec) -> Cyclotomic:
-    """The canonical value of one lifted vector over its denominator.  A
-    rational value and a single root of unity +-zeta_m^k are recognised and
-    built directly."""
-    if not any(vec[1:]):
-        return Cyclotomic(Fraction(vec[0], den))
-    g = gcd(den, *vec)
-    if g == den:
-        unit = tuple(c // g for c in vec)
-        exponents = _root_exponents(m)
-        k = exponents.get(unit)
-        if k is not None:
-            return root_of_unity(m, k)
-        k = exponents.get(tuple(-c for c in unit))
-        if k is not None:
-            return -root_of_unity(m, k)
-    return Cyclotomic._raw(m, [Fraction(c, den) for c in vec])
+unlift = Cyclotomic._unlift
 
 
 @lru_cache(maxsize=None)
@@ -502,29 +498,28 @@ def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
         return Cyclotomic(sign)
     vec = [0] * (k + 1)
     vec[k] = sign
-    return Cyclotomic._canonical_form(n, tuple(map(Fraction, reduce_mod_phi(n, vec))))
+    return Cyclotomic._canonical_form(n, 1, tuple(reduce_mod_phi(n, vec)))
 
 
 def root_sum(n: int, counts) -> Cyclotomic:
-    """sum_j counts[j] * zeta_n^j for rational counts, reduced modulo Phi_n in
-    the counts' own arithmetic and canonicalised once.  A rational sum (every
-    coefficient past the constant one zero) is built directly."""
-    reduced = reduce_mod_phi(n, list(counts))
-    if not any(reduced[1:]):
-        return Cyclotomic(reduced[0])
-    return Cyclotomic._raw(n, [Fraction(c) for c in reduced])
+    """sum_j counts[j] * zeta_n^j for integer counts, reduced modulo Phi_n and
+    canonicalised once."""
+    return Cyclotomic._unlift(n, 1, reduce_mod_phi(n, list(counts)))
 
 
 def one_minus_product(values) -> list[int]:
     """Coefficients of prod over v in values of (1 - v t), lowest degree first
     (len(values) + 1 of them); each must be a rational integer.
 
-    Expanded in Q[x]/(x^m - 1), m the lcm of the conductors, where zeta_n^j
-    is x^(j*m/n); each coefficient becomes a cyclotomic number once, at the end."""
+    Expanded in Z[x]/(x^m - 1), m the lcm of the conductors, where zeta_n^j
+    is x^(j*m/n), with every value over D the lcm of the denominators, so
+    the coefficient of t^r is over D^r; each becomes a cyclotomic number
+    once, at the end."""
     m = lcm(1, *(v.conductor for v in values))
+    den = lcm(1, *(v.den for v in values))
     rows = [[1] + [0] * (m - 1)]
     for v in values:
-        terms = [(j * (m // v.conductor), c) for j, c in v.terms()]
+        terms = [(j * (m // v.conductor), c * (den // v.den)) for j, c in v.terms()]
         rows.append([0] * m)
         # times (1 - v t): each row less v times the one below, highest first
         for row, prev in zip(rows[:0:-1], rows[-2::-1]):
@@ -532,7 +527,7 @@ def one_minus_product(values) -> list[int]:
                 for r, x in enumerate(prev):
                     if x:
                         row[(r + s) % m] -= c * x
-    coeffs = [root_sum(m, row) for row in rows]
+    coeffs = [Cyclotomic._unlift(m, den**r, reduce_mod_phi(m, row)) for r, row in enumerate(rows)]
     for c in coeffs:
         if not c.is_integer():
             raise CheckFailure(f"coefficient {c} of prod (1 - chi_V(g) t) is not a rational integer")

@@ -24,15 +24,17 @@ SIDES = ("restriction", "induction")
 
 
 class Basis(Record):
-    """The distinct restrictions (or inductions) of the irreducibles of one
-    group of a pair: class functions on the other group, with their
-    multiplicity vectors there and the indices of the irreducibles giving
-    each member."""
+    """The restrictions (or inductions) of the irreducibles of one group of a
+    pair, one per support: class functions on the other group, with their
+    multiplicity vectors there and the indices of the irreducibles of each
+    member's support.  Two restrictions of one support are multiples of one
+    orbit sum (Clifford), and the member is the least multiple, on a tie the
+    first in table order; its own irreducible is listed first and names it."""
 
     pair: NormalPair
     members: tuple[ClassFunction, ...]
     mult_vectors: tuple[tuple[int, ...], ...]  # multiplicities over the members' group
-    origins: tuple[tuple[int, ...], ...]  # irreducible indices giving each member
+    origins: tuple[tuple[int, ...], ...]  # irreducible indices of each member's support
     labels: tuple[str, ...]
 
     verb: ClassVar[str]  # "restrict" or "induce"
@@ -68,22 +70,24 @@ class InductionBasis(Basis):
 
 
 def _distinct(pair: NormalPair, decs, what: str):
-    """The distinct decomposed functions in order of first appearance, with
-    the indices of the functions equal to each.  The irreducibles are a
-    basis, so equal multiplicities mean equal functions."""
-    first: dict[tuple[int, ...], int] = {}
-    members, origins = [], []
+    """One member per support (set of constituents), in order of first
+    appearance, with the indices of the functions of that support, the
+    member's own first.  By Clifford's theorem two functions of one support
+    are multiples of one orbit sum, and supports of distinct orbits are
+    disjoint; the member is the least multiple, on a tie the first in table
+    order."""
+    supports: dict[tuple[int, ...], list[int]] = {}
     for i, dec in enumerate(decs):
-        j = first.setdefault(dec.multiplicities, len(members))
-        if j == len(members):
-            members.append(dec)
-            origins.append([i])
-        else:
-            origins[j].append(i)
-    if len(members) != len(pair.upsilonN):
+        supports.setdefault(tuple(j for j, m in enumerate(dec.multiplicities) if m), []).append(i)
+    if len(supports) != len(pair.upsilonN):
         raise CheckFailure(
-            f"{len(members)} distinct {what} but |Upsilon(N)| = {len(pair.upsilonN)}"
+            f"{len(supports)} distinct {what} but |Upsilon(N)| = {len(pair.upsilonN)}"
         )
+    members, origins = [], []
+    for same in supports.values():
+        least = min(same, key=lambda i: sum(decs[i].multiplicities))
+        members.append(decs[least])
+        origins.append([least] + [i for i in same if i != least])
     return members, origins
 
 

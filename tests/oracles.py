@@ -4,7 +4,11 @@ a time, so the lifted paths are checked against an independent one.  The
 library lowers a value by one projection per prime and inverts by the Galois
 norm; the Galois-orbit lowering and the linear-solve inverse it replaced are
 kept here as the independent path.  The library reads fusion coefficients
-off disjoint constituents; the linear solve it replaced is kept here too."""
+off disjoint constituents; the linear solve it replaced is kept here too.
+
+The oracles read a value only through its `coeffs` (Fractions), never through
+the library's stored integer coordinates or its `terms`, and compute in
+Fractions, so they share no arithmetic with the integer kernel."""
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -15,7 +19,7 @@ from mckay_slodowy.cyclotomic import (
     euler_phi,
     prime_factors,
     reduce_mod_phi,
-    root_sum,
+    unlift,
 )
 from mckay_slodowy.linalg import _eliminate
 
@@ -40,31 +44,47 @@ def solve_exact(rows, rhs) -> list[Fraction]:
     return x
 
 
-def _integral(c):
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+def _terms(x) -> list[tuple[int, Fraction]]:
+    """The nonzero (j, coefficient of zeta_n^j) pairs of a value or a rational."""
+    x = x if type(x) is Cyclotomic else Cyclotomic(x)
+    return [(j, c) for j, c in enumerate(x.coeffs) if c]
+
+
+def from_fractions(n: int, coeffs) -> Cyclotomic:
+    """The value sum_j coeffs[j] * zeta_n^j for rational coeffs, reduced
+    modulo Phi_n, cleared to one denominator and built by the library's one
+    constructor."""
+    reduced = reduce_mod_phi(n, list(coeffs))
+    den = lcm(1, *(c.denominator for c in reduced))
+    return unlift(n, den, [int(c * den) for c in reduced])
+
+
+def canonical_value(n: int, coords) -> Cyclotomic:
+    """The Cyclotomic whose canonical coordinates at conductor n are coords
+    (as orbit_canonical returns them), built without lowering."""
+    den = lcm(1, *(c.denominator for c in coords))
+    return Cyclotomic._canonical_form(n, den, tuple(int(c * den) for c in coords))
 
 
 def weighted_dot(weights, xs, ys) -> Cyclotomic:
     """sum_i weights[i] * xs[i] * conj(ys[i]) for rational weights and
     cyclotomic values, in one pass.
 
-    Every value is embedded into Z[x]/(x^m - 1), m the lcm of the conductors,
-    where zeta_n^j is x^(j*m/n) and conjugation is x^k -> x^-k; the values'
-    own `terms` are read, not rebuilt.  Coefficients accumulate as integers
-    (Fractions only where a coefficient is not integral); the sum is reduced
-    modulo Phi_m and canonicalised once, or not at all when it is rational.
-    """
+    Every value is embedded into Q[x]/(x^m - 1), m the lcm of the conductors,
+    where zeta_n^j is x^(j*m/n) and conjugation is x^k -> x^-k; coefficients
+    accumulate as Fractions, and the sum is reduced modulo Phi_m and
+    canonicalised once."""
     terms = []
     m = 1
     for w, x, y in zip(weights, xs, ys):
         if w:
             x = x if type(x) is Cyclotomic else Cyclotomic(x)
             y = y if type(y) is Cyclotomic else Cyclotomic(y)
-            xt, yt = x.terms(), y.terms()
+            xt, yt = _terms(x), _terms(y)
             if xt and yt:
-                terms.append((_integral(w), x.conductor, xt, y.conductor, yt))
+                terms.append((w, x.conductor, xt, y.conductor, yt))
                 m = lcm(m, x.conductor, y.conductor)
-    acc = [0] * m
+    acc = [Fraction(0)] * m
     for w, nx, xt, ny, yt in terms:
         sx, sy = m // nx, m // ny
         yt = [(b * sy, v) for b, v in yt]
@@ -73,20 +93,20 @@ def weighted_dot(weights, xs, ys) -> Cyclotomic:
             u *= w
             for b, v in yt:
                 acc[(a - b) % m] += u * v
-    return root_sum(m, acc)
+    return from_fractions(m, acc)
 
 
 def linear_combination(weights, xs) -> Cyclotomic:
     """sum_i weights[i] * xs[i] for rational weights and cyclotomic values,
-    accumulated in Z[x]/(x^m - 1) as weighted_dot does and canonicalised once."""
+    accumulated in Q[x]/(x^m - 1) as weighted_dot does and canonicalised once."""
     pairs = [(w, x) for w, x in zip(weights, xs) if w and x]
     m = lcm(1, *(x.conductor for _, x in pairs))
-    acc = [0] * m
+    acc = [Fraction(0)] * m
     for w, x in pairs:
         step = m // x.conductor
-        for j, c in x.terms():
+        for j, c in _terms(x):
             acc[j * step] += w * c
-    return root_sum(m, acc)
+    return from_fractions(m, acc)
 
 
 @cache
@@ -142,4 +162,4 @@ def solve_inverse(x: Cyclotomic) -> Cyclotomic:
     deg = len(x.coeffs)
     cols = [reduce_mod_phi(n, [Fraction(0)] * j + list(x.coeffs)) for j in range(deg)]
     rows = [[col[i] for col in cols] for i in range(deg)]
-    return Cyclotomic._canonical_form(*orbit_canonical(n, solve_exact(rows, [1] + [0] * (deg - 1))))
+    return canonical_value(*orbit_canonical(n, solve_exact(rows, [1] + [0] * (deg - 1))))

@@ -285,6 +285,13 @@ def test_class_function_requires_matching_length():
         ClassFunction(G, [Cyclotomic(1)])
 
 
+@pytest.mark.parametrize("bad", [0.5, "1"])
+def test_class_function_rejects_a_float_or_a_string_value(bad):
+    # the values reach the Cyclotomic constructor, which once read both
+    with pytest.raises(TypeError):
+        ClassFunction(family("cyclic", 3), [1, bad, 1])
+
+
 def test_modular_oracle_on_a_frobenius_group():
     # C_53 x| C_4 on the 53 points: x -> x + 1 and x -> 23x, 23 of order 4 mod 53.
     # Its degree-4 values are sums of four 53rd roots of unity, out of reach

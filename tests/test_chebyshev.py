@@ -82,6 +82,9 @@ BAD_ARGUMENTS = [
     (chebyshev_additive, ("second", 2.0), "degree must be an integer, not 2.0"),
     (chebyshev_product_value, ("first", -1, 0.3), "degree must be non-negative"),
     (chebyshev_product_value, ("second", "3", 0.3), "degree must be an integer, not '3'"),
+    # the kind is checked before the degree-0 shortcut (once 1.0)
+    (chebyshev_product_value, ("bogus", 0, 0.3), "kind must be 'first' or 'second'"),
+    (chebyshev_additive, ("bogus", 0), "kind must be 'first' or 'second'"),
     (c_family, (2.5,), "index must be an integer, not 2.5"),
     (c_family, (False,), "index must be an integer, not False"),
     (c_family, (-1,), "index must be non-negative"),

@@ -21,7 +21,14 @@ from mckay_slodowy.cyclotomic import (
     unlift,
 )
 
-from oracles import linear_combination, orbit_canonical, solve_inverse, weighted_dot
+from oracles import (
+    canonical_value,
+    from_fractions,
+    linear_combination,
+    orbit_canonical,
+    solve_inverse,
+    weighted_dot,
+)
 
 
 def brute_product_mod_phi8(a, b):
@@ -112,6 +119,14 @@ def test_a_rational_value_hashes_as_the_number_it_equals():
         assert x in {value} and value in {x}
     half = root_of_unity(3) + root_of_unity(3, 2) + Fraction(3, 2)  # = 1/2
     assert half in {Fraction(1, 2)} and {half: "v"}[Fraction(1, 2)] == "v"
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", "2"])
+def test_a_float_or_a_string_is_no_cyclotomic_value(bad):
+    # Cyclotomic(0.1) once stored 3602879701896397/36028797018963968 and
+    # Cyclotomic("1/3") read 1/3, while Cyclotomic(1) + 0.5 was a TypeError
+    with pytest.raises(TypeError):
+        Cyclotomic(bad)
 
 
 @pytest.mark.parametrize("bad", ["cyc(0)[5]", "cyc(-3)[1, 2]"])
@@ -239,13 +254,13 @@ def test_norm_positivity(x):
 @given(cyclotomics())
 def test_lowering_idempotent_and_numerically_stable(x):
     # re-canonicalizing the canonical form changes nothing
-    again = Cyclotomic._raw(x.conductor, list(x.coeffs))
+    again = unlift(x.conductor, x.den, list(x.ints))
     assert again == x
     # the un-lowered embedding evaluates to the same complex number
     m = x.conductor * 2
     raised = x._embedded(m)
     direct = sum(
-        complex(c) * cmath.exp(2j * cmath.pi * j / m) for j, c in enumerate(raised)
+        complex(Fraction(c, x.den)) * cmath.exp(2j * cmath.pi * j / m) for j, c in enumerate(raised)
     )
     scale = 1 + sum(abs(c) for c in x.coeffs)
     assert abs(direct - x.to_complex()) <= 1e-12 * scale
@@ -320,11 +335,11 @@ def _same(a, b):
 @settings(max_examples=60, deadline=None)
 @given(field_values(), _COEFF)
 def test_rational_scaling_matches_raw(x, r):
-    want = Cyclotomic._raw(x.conductor, [c * r for c in x.coeffs])
+    want = from_fractions(x.conductor, [c * r for c in x.coeffs])
     for got in (x * r, r * x, x * Cyclotomic(r), Cyclotomic(r) * x):
         assert _same(got, want)
         assert all(type(c) is Fraction for c in got.coeffs)
-    assert _same(-x, Cyclotomic._raw(x.conductor, [-c for c in x.coeffs]))
+    assert _same(-x, from_fractions(x.conductor, [-c for c in x.coeffs]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -339,15 +354,41 @@ def test_rational_results_match_raw(terms):
     m = math.lcm(1, *(x.conductor for x in xs))
     acc = [Fraction(0)] * euler_phi(m)
     for x in xs:
-        acc = [a + b for a, b in zip(acc, x._embedded(m))]
-    want = Cyclotomic._raw(m, acc)
+        acc = [a + Fraction(b, x.den) for a, b in zip(acc, x._embedded(m))]
+    want = from_fractions(m, acc)
     assert want.is_rational()
-    for got in (weighted_dot(ones, xs, ones), linear_combination(ones, xs), root_sum(m, reduce_mod_phi(m, acc))):
+    den = math.lcm(1, *(a.denominator for a in acc))
+    summed = root_sum(m, reduce_mod_phi(m, [int(a * den) for a in acc])) * Fraction(1, den)
+    for got in (weighted_dot(ones, xs, ones), linear_combination(ones, xs), summed):
         assert _same(got, want)
         assert all(type(c) is Fraction for c in got.coeffs)
     weights = [w for w, _ in terms]
     combo = sum((w * x for w, x in terms), Cyclotomic(0))
     assert _same(linear_combination(weights, [x for _, x in terms]), combo)
+
+
+def _trace(x):
+    n = x.conductor
+    return sum((x.galois(k) for k in range(1, n + 1) if math.gcd(k, n) == 1), Cyclotomic(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_values(), field_values(), _COEFF)
+def test_a_value_is_integers_over_one_least_denominator(x, y, r):
+    z = x * y + r
+    values = [x, y, x + y, x - y, x * y, z, x * r, x.conj(), _trace(x), _trace(x * y), x * x.conj()]
+    values += [z.inverse()] if z else []
+    for v in values:
+        assert type(v.den) is int and v.den > 0
+        assert all(type(c) is int for c in v.ints) and len(v.ints) == euler_phi(v.conductor)
+        assert math.gcd(v.den, *v.ints) == 1
+        # coeffs are the coordinates over D, and D is their least common denominator
+        assert [c * v.den for c in v.coeffs] == list(v.ints)
+        assert v.den == math.lcm(*(c.denominator for c in v.coeffs))
+        assert v.terms() == tuple((j, c) for j, c in enumerate(v.ints) if c)
+        if v.is_rational():
+            q = v.to_rational()
+            assert type(q) is Fraction and v == q and hash(v) == hash(q) and q in {v}
 
 
 def _root_cases(m):
@@ -365,7 +406,7 @@ def test_roots_of_unity_are_built_in_canonical_form(m):
         x_k[k] = 1
         vec = [int(c) for c in reduce_mod_phi(m, x_k)]
         for sign in (1, -1):
-            want = Cyclotomic._canonical_form(*orbit_canonical(m, [Fraction(sign * c) for c in vec]))
+            want = canonical_value(*orbit_canonical(m, [Fraction(sign * c) for c in vec]))
             signed = [sign * c for c in vec]
             for got in (sign * root_of_unity(m, k), root_of_unity(m, k + m) * sign,
                         unlift(m, 1, signed), unlift(m, 3, [3 * c for c in signed])):
@@ -389,14 +430,16 @@ def test_lowering_matches_the_galois_orbit_oracle(n):
     values = [_subfield_value(n, d, rng) for d in range(1, n + 1) if n % d == 0]
     values.append(tuple(Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)) for _ in range(euler_phi(n))))
     for coeffs in values:
-        got = _canonical_cached.__wrapped__(n, coeffs)
-        assert got == orbit_canonical(n, coeffs), coeffs
-        assert all(type(c) is Fraction for c in got[1])
+        # over the lcm of the denominators the coordinates are coprime to it
+        den = math.lcm(1, *(c.denominator for c in coeffs))
+        got_n, got_den, got_ints = _canonical_cached.__wrapped__(n, den, tuple(int(c * den) for c in coeffs))
+        assert (got_n, tuple(Fraction(c, got_den) for c in got_ints)) == orbit_canonical(n, coeffs), coeffs
+        assert all(type(c) is int for c in (got_den, *got_ints)) and math.gcd(got_den, *got_ints) == 1
 
 
 def test_unlift_of_other_values_matches_raw():
     half = unlift(8, 2, [1, 1, 0, 0])  # (1 + zeta_8) / 2
-    assert _same(half, Cyclotomic._raw(8, [Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)]))
+    assert _same(half, canonical_value(*orbit_canonical(8, [Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)])))
     assert _same(unlift(12, 1, [0, 0, 0, 0]), Cyclotomic(0))
     assert _same(unlift(5, 1, [2, 0, 0, 0]), Cyclotomic(2))
 

@@ -143,6 +143,15 @@ def test_generate_order_independent_class_sizes():
     assert sorted(a.class_sizes()) == sorted(b.class_sizes())
 
 
+@pytest.mark.parametrize("bad", [0.5, "1"])
+def test_matrix_entries_reject_a_float_or_a_string(bad):
+    # the entries reach the Cyclotomic constructor, which once read both
+    with pytest.raises(TypeError):
+        Matrix2(1, 0, 0, bad)
+    with pytest.raises(TypeError):
+        Matrix2(bad, 0, 0, 1)
+
+
 def test_generate_rejects_mixed_backends():
     with pytest.raises(DomainError):
         generate([Matrix2.identity(), Permutation.identity(3)])

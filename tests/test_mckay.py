@@ -4,8 +4,9 @@ import pytest
 
 from mckay_slodowy.dynkin import adjacency, catalog_for_size, identify, _isomorphic
 from mckay_slodowy.errors import CheckFailure, DomainError
-from mckay_slodowy.groups import family, normal_pair, pair_from_groups
-from mckay_slodowy.verify import default_pair_arguments
+from mckay_slodowy.characters import restrict, table
+from mckay_slodowy.groups import Matrix2, family, generate, normal_pair, pair_from_groups
+from mckay_slodowy.verify import default_pair_arguments, triple_equivalence_check
 from mckay_slodowy.mckay import (
     InductionBasis,
     RestrictionBasis,
@@ -34,6 +35,40 @@ EXPECTED_TYPES = {
     "A2^2": lambda n: ("A_2^(2)", "A_1^(1)"),
     "S4A4": lambda n: ("unrecognized", "unrecognized"),
 }
+
+
+CENTRE_CASES = [
+    ("binary_tetrahedral", None, "tau_1"),
+    ("binary_tetrahedral", None, "tau_2"),
+    ("binary_octahedral", None, "omega_1^+"),
+    ("binary_octahedral", None, "omega_4"),
+    ("binary_dihedral", 3, "delta_1"),
+    ("binary_dihedral", 4, "delta_2"),
+    ("binary_dihedral", 2, "delta_1"),
+]
+
+
+@pytest.mark.parametrize("name,n,v", CENTRE_CASES)
+def test_the_centre_of_a_binary_group_is_a_legal_normal_subgroup(name, n, v):
+    # two irreducibles can restrict to different multiples of one orbit sum
+    # (here tau_0 -> 1 * triv and tau_2 -> 3 * triv): the bases once counted
+    # both and raised "3 distinct restrictions but |Upsilon(N)| = 2"
+    G = family(name, n) if n else family(name)
+    pair = pair_from_groups(G, generate([Matrix2.diagonal(-1, -1)], name="Z2"))
+    data = fusion_matrices(pair, table(G)[v])
+    assert data.size == len(pair.upsilonN) == 2
+    gt = table(G)
+    # one member per support, the least multiple, named by its own irreducible
+    rb = data.rbasis
+    assert sorted(i for orig in rb.origins for i in orig) == list(range(len(gt)))
+    for mv, orig, label in zip(rb.mult_vectors, rb.origins, rb.labels):
+        sizes = {i: sum(restrict(pair, gt[i]).multiplicities) for i in orig}
+        least = min(sizes.values())
+        assert sum(mv) == least and orig[0] == min(i for i in orig if sizes[i] == least)
+        assert label == f"check({gt.labels[orig[0]]})"
+    characteristic_identity_check(data)
+    eigenvector_check(data)
+    triple_equivalence_check(data, 6)
 
 
 def test_restriction_basis_examples():
