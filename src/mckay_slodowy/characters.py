@@ -2,14 +2,16 @@
 Dixon-Schneider table computation over a prime field used as an independent
 oracle.
 
-The named families get their tables from closed formulas (cyclotomic values,
-one row per irreducible, in the classical layout); anything else falls back
-to the Dixon-Schneider computation, which is exact as well.
+The named families get their tables from closed formulas (one row per
+irreducible, in the classical layout); anything else falls back to the
+Dixon-Schneider computation, which is exact as well.  Cyclic, binary dihedral
+and Dixon-Schneider rows are born lifted, as integer exponent terms, and a
+value is canonicalised only when it is read.
 """
 from __future__ import annotations
 
 from functools import cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .cyclotomic import (
@@ -17,7 +19,6 @@ from .cyclotomic import (
     prime_factors,
     reduce_mod_phi,
     root_of_unity,
-    root_sum,
     sqrt2,
     unlift,
 )
@@ -32,10 +33,10 @@ class ClassFunction:
     It is held in either of two forms, and the other is built on first use.
     One is the canonical values.  The other is the lifted form (m, D, cols):
     cols[c] holds the sparse (exponent mod m, integer) terms of D * f(c) in
-    Z[x]/(x^m - 1), where zeta_m^j is x^j: a value's own integers over its
-    denominator, re-indexed to m and scaled to D.  The terms are not reduced modulo
-    Phi_m: pairing with a table is a ring map, and _pairings reduces once
-    per irreducible.  Sums, scalars, conjugates, products, induction and the
+    Z[x]/(x^m - 1), where zeta_m^j is x^j.  The terms are not reduced modulo
+    Phi_m, and one exponent may occur in several terms: pairing with a table
+    is a ring map, and _pairings reduces once per irreducible.  Table rows
+    are born lifted; sums, scalars, conjugates, products, induction and the
     pairings run on the lifted form; `values` reduces and canonicalises each
     class once, when read."""
 
@@ -55,10 +56,15 @@ class ClassFunction:
     @classmethod
     def from_lifted(cls, group: FiniteGroup, m: int, den: int, cols) -> "ClassFunction":
         """The class function with lifted form (m, den, cols); see the class."""
+        cols = tuple(cols)
+        if len(cols) != len(group.classes):
+            raise DomainError(f"{len(cols)} values for {len(group.classes)} classes")
+        if type(m) is not int or type(den) is not int or m < 1 or den < 1:
+            raise DomainError(f"a lifted form needs positive integers m and D, not {m!r} and {den!r}")
         obj = object.__new__(cls)
         object.__setattr__(obj, "group", group)
         object.__setattr__(obj, "_values", None)
-        object.__setattr__(obj, "_lifted", (m, den, tuple(cols)))
+        object.__setattr__(obj, "_lifted", (m, den, cols))
         object.__setattr__(obj, "_hash", None)
         return obj
 
@@ -70,9 +76,16 @@ class ClassFunction:
         vals = self._values
         if vals is None:
             m, den, cols = self._lifted
-            vals = tuple(unlift(m, den, _reduced(m, terms)) for terms in cols)
+            vals = tuple(_unlifted(m, den, terms) for terms in cols)
             object.__setattr__(self, "_values", vals)
         return vals
+
+    def value_at(self, c: int) -> Cyclotomic:
+        """f at class c; from the lifted form, that class alone is reduced and unlifted."""
+        if self._values is not None:
+            return self._values[c]
+        m, den, cols = self._lifted
+        return _unlifted(m, den, cols[c])
 
     def is_zero_at(self, c: int) -> bool:
         """Whether f vanishes at class c, read off the lifted form."""
@@ -169,6 +182,26 @@ def _reduced(m: int, terms) -> list[int]:
     return reduce_mod_phi(m, acc)
 
 
+def _unlifted(m: int, den: int, terms) -> Cyclotomic:
+    """The canonical value of the terms over den, reduced and unlifted at
+    their least level m/g, g the gcd of m and the exponents, so lowering
+    starts as low as the terms allow."""
+    terms = tuple(terms)
+    g = gcd(m, *(a for a, _ in terms))
+    return unlift(m // g, den, _reduced(m // g, [(a // g, u) for a, u in terms]))
+
+
+def _entry(m: int, terms: tuple, step: int = 1) -> tuple[tuple[int, int], ...]:
+    """A table entry given by its terms at level m, as its terms at level
+    m * step, or as its one constant term (none for 0) when it is rational:
+    pairings among rational entries then stay constant blocks, which need
+    no reduction."""
+    vec = _reduced(m, terms)
+    if not any(vec[1:]):
+        return ((0, vec[0]),) if vec[0] else ()
+    return tuple((a * step, u) for a, u in terms) if step > 1 else terms
+
+
 def _collect(terms) -> tuple[tuple[int, int], ...]:
     """Sparse (exponent, coefficient) terms with equal exponents summed and
     zero sums dropped."""
@@ -193,7 +226,7 @@ class Character(Record):
 
     @property
     def degree(self) -> int:
-        return self.base.values[0].to_integer()
+        return self.base.value_at(0).to_integer()
 
 
 class CharacterTable:
@@ -205,6 +238,9 @@ class CharacterTable:
             raise CheckFailure(
                 f"{len(self.irreducibles)} irreducibles for {len(group.classes)} classes"
             )
+        # each row, as the Character and as its base, by identity: the table
+        # holds both, so no other live object shares their ids
+        self._row_ids = {id(x): i for i, chi in enumerate(self.irreducibles) for x in (chi, chi.base)}
 
     def __iter__(self):
         return iter(self.irreducibles)
@@ -214,8 +250,21 @@ class CharacterTable:
 
     def __getitem__(self, key: int | str) -> Character:
         if isinstance(key, str):
-            return self.irreducibles[self.labels.index(key)]
+            key = self.index(key)
         return self.irreducibles[key]
+
+    def index(self, label: str) -> int:
+        """The row index of the irreducible labelled `label`."""
+        if label not in self.labels:
+            raise DomainError(
+                f"no irreducible {label!r} of {self.group.name or 'the group'}, whose labels are {self.labels}"
+            )
+        return self.labels.index(label)
+
+    def row_of(self, f: Character | ClassFunction) -> int | None:
+        """The index of f if it is one of the rows, the Character or its base
+        itself (not an equal copy), else None; no value is read."""
+        return self._row_ids.get(id(f))
 
     @property
     def degrees(self) -> list[int]:
@@ -252,7 +301,7 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     modulo Phi_m once and unlifted once, over |G| * D."""
     m, den, cols = (a * b.conj()).lifted()
     terms = ((e, size * u) for size, col in zip(a.group.class_sizes(), cols) for e, u in col)
-    return unlift(m, a.group.order * den, _reduced(m, terms))
+    return _unlifted(m, a.group.order * den, terms)
 
 
 # -- the lifted dual: every pairing <f, chi_i> in one pass ---------------------
@@ -261,18 +310,19 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
 @cache
 def _table_dual(tbl: CharacterTable, m: int):
     """The conjugate table lifted once into Z[x]/(x^M - 1), M the lcm of m
-    and the table's conductors, where zeta_n^j is x^(j*M/n) and conjugation
-    sends x^a to x^-a: (M, D, dual) with D one shared denominator and
-    dual[c] the terms (i*M, b, w) of |c| * D * conj(chi_i(c)) = sum of w * x^b."""
-    m = lcm(m, *(v.conductor for chi in tbl for v in chi.values))
-    den = lcm(1, *(v.den for chi in tbl for v in chi.values))
+    and the rows' lifted m, read off the rows' lifted forms (no value is
+    read), where conjugation sends x^a to x^-a: (M, D, dual) with D one
+    shared denominator and dual[c] the terms (i*M, b, w) of
+    |c| * D * conj(chi_i(c)) = sum of w * x^b."""
+    forms = [chi.base.lifted() for chi in tbl]
+    m = lcm(m, *(row_m for row_m, _, _ in forms))
+    den = lcm(1, *(row_den for _, row_den, _ in forms))
     dual = []
     for c, size in enumerate(tbl.group.class_sizes()):
         col = []
-        for i, chi in enumerate(tbl):
-            v = chi.values[c]
-            step, scale = m // v.conductor, size * (den // v.den)
-            col.extend((i * m, -j * step % m, scale * a) for j, a in v.terms())
+        for i, (row_m, row_den, cols) in enumerate(forms):
+            step, scale = m // row_m, size * (den // row_den)
+            col.extend((i * m, -a * step % m, scale * u) for a, u in cols[c])
         dual.append(tuple(col))
     return m, den, tuple(dual)
 
@@ -306,34 +356,44 @@ def _pairings(tbl: CharacterTable, f: ClassFunction) -> tuple[int, list[list[int
 
 
 def _rows(group: FiniteGroup, data) -> CharacterTable:
-    """The table with one irreducible per (label, values) entry, in order."""
-    return CharacterTable(
-        group,
-        [Character(ClassFunction(group, vals), lbl, irreducible=True) for lbl, vals in data],
-    )
+    """The table with one irreducible per (label, ClassFunction) entry, in order."""
+    return CharacterTable(group, [Character(f, lbl, irreducible=True) for lbl, f in data])
+
+
+def _literal(group: FiniteGroup, data) -> CharacterTable:
+    """The table of (label, values) entries written out by hand."""
+    return _rows(group, [(lbl, ClassFunction(group, vals)) for lbl, vals in data])
 
 
 def _table_cyclic(group: FiniteGroup, n: int) -> CharacterTable:
-    return _rows(group, [(f"xi_{i}", [root_of_unity(n, i * k) for k in range(n)]) for i in range(n)])
+    # xi_i(z^k) = zeta_n^(ik), lifted at the exponent n
+    return _rows(group, [
+        (f"xi_{i}", ClassFunction.from_lifted(group, n, 1, [_entry(n, ((i * k % n, 1),)) for k in range(n)]))
+        for i in range(n)
+    ])
 
 
 def _table_binary_dihedral(group: FiniteGroup, n: int) -> CharacterTable:
-    # classes: 1, -1, x, ..., x^{n-1}, y, yx
-    s = root_of_unity(4, n)  # pinned value of sqrt((-1)^n)
-    data = [(lbl, [1] * (n + 1) + [eps, eps]) for eps, lbl in ((1, "delta_0^+"), (-1, "delta_0^-"))]
+    # classes: 1, -1, x, ..., x^{n-1}, y, yx; lifted at the exponent m, where
+    # x^h stands for zeta_2n, x^s for the pinned sqrt((-1)^n) = zeta_4^n, and
+    # a rational c is the one term (0, c)
+    m = lcm(2 * n, 4)
+    h, s = m // (2 * n), n * m // 4 % m
+    data = [(lbl, [((0, 1),)] * (n + 1) + [((0, eps),)] * 2) for eps, lbl in ((1, "delta_0^+"), (-1, "delta_0^-"))]
     for i in range(1, n):
-        vals = [2, 2 * (-1) ** i]
-        vals += [root_of_unity(2 * n, i * j) + root_of_unity(2 * n, -i * j) for j in range(1, n)]
-        data.append((f"delta_{i}", vals + [0, 0]))
+        cols = [((0, 2),), ((0, 2 * (-1) ** i),)]
+        cols += [_entry(m, ((i * j * h % m, 1), (-i * j * h % m, 1))) for j in range(1, n)]
+        data.append((f"delta_{i}", cols + [(), ()]))
     for eps, lbl in ((1, f"delta_{n}^+"), (-1, f"delta_{n}^-")):
-        data.append((lbl, [1, (-1) ** n] + [(-1) ** j for j in range(1, n)] + [eps * s, -eps * s]))
-    return _rows(group, data)
+        signs = [((0, (-1) ** j),) for j in (0, n, *range(1, n))]
+        data.append((lbl, signs + [((s, eps),), ((s, -eps),)]))
+    return _rows(group, [(lbl, ClassFunction.from_lifted(group, m, 1, cols)) for lbl, cols in data])
 
 
 def _table_tetrahedral(group: FiniteGroup, n: None) -> CharacterTable:
     w = root_of_unity(3)
     w2 = root_of_unity(3, 2)
-    return _rows(group, [
+    return _literal(group, [
         ("tau_0", [1, 1, 1, 1, 1, 1, 1]),
         ("tau_0'", [1, 1, 1, w, w2, w, w2]),
         ("tau_0''", [1, 1, 1, w2, w, w2, w]),
@@ -346,7 +406,7 @@ def _table_tetrahedral(group: FiniteGroup, n: None) -> CharacterTable:
 
 def _table_octahedral(group: FiniteGroup, n: None) -> CharacterTable:
     r2 = sqrt2()
-    return _rows(group, [
+    return _literal(group, [
         ("omega_0^+", [1, 1, 1, 1, 1, 1, 1, 1]),
         ("omega_1^+", [2, -2, r2, -r2, 0, 0, 1, -1]),
         ("omega_2^+", [3, 3, 1, 1, -1, -1, 0, 0]),
@@ -359,7 +419,7 @@ def _table_octahedral(group: FiniteGroup, n: None) -> CharacterTable:
 
 
 def _table_symmetric4(group: FiniteGroup, n: None) -> CharacterTable:
-    return _rows(group, [
+    return _literal(group, [
         ("rho_0^+", [1, 1, 1, 1, 1]),
         ("rho_0^-", [1, -1, 1, -1, 1]),
         ("rho_1", [2, 0, -1, 0, 2]),
@@ -370,7 +430,7 @@ def _table_symmetric4(group: FiniteGroup, n: None) -> CharacterTable:
 
 def _table_alternating4(group: FiniteGroup, n: None) -> CharacterTable:
     w, w2 = root_of_unity(3), root_of_unity(3, 2)
-    return _rows(group, [
+    return _literal(group, [
         ("phi_0", [1, 1, 1, 1]),
         ("phi_1", [1, w, w2, 1]),
         ("phi_2", [1, w2, w, 1]),
@@ -440,7 +500,8 @@ def table_numeric(group: FiniteGroup) -> CharacterTable:
     (z_l the class representatives).  They are found over F_p, p = 1 mod e the
     exponent and p^2 > 4|G|, where a primitive e-th root of unity z stands for
     zeta_e; every chi(g) = sum_j m_j zeta_o^j (o the order of g) is read off
-    its multiplicities 0 <= m_j <= chi(1) < p/2."""
+    its multiplicities 0 <= m_j <= chi(1) < p/2, and is born lifted at e as
+    the terms (j*e/o, m_j)."""
     k, order, e = len(group.classes), group.order, group.exponent()
     cls, sizes = group.class_of, group.class_sizes()
     coeff = [[[0] * k for _ in range(k)] for _ in range(k)]
@@ -488,7 +549,7 @@ def table_numeric(group: FiniteGroup) -> CharacterTable:
         powers.append(pc)
         if o not in dft:
             dft[o] = [[zpow[(e // o) * j * t % e] for t in range(o)] for j in range(o)]
-    rows = []
+    rows = []  # (degree, the row born lifted at e)
     for u in spaces:
         w = [x * pow(u[0], -1, p) % p for x in u]
         norm = sum(w[l] * w[star[l]] * inv_sizes[l] for l in range(k)) % p
@@ -497,21 +558,17 @@ def table_numeric(group: FiniteGroup) -> CharacterTable:
         if degree is None:
             raise CheckFailure(f"no character degree d with d^2 = {target} mod {p}")
         chi = [degree * w[l] * inv_sizes[l] % p for l in range(k)]
-        values = []
+        cols = []
         for pc in powers:
             o = len(pc)
             xs = [chi[c] for c in pc]
             mults = [sum(map(mul, xs, row)) * pow(o, -1, p) % p for row in dft[o]]
             if max(mults) > degree:
                 raise CheckFailure(f"eigenvalue multiplicities {mults} exceed the degree {degree} mod {p}")
-            values.append(root_sum(o, mults))
-        rows.append(values)
-    rows.sort(key=lambda vals: (vals[0].to_integer(), [v.to_text() for v in vals]))
-    chars = [
-        Character(ClassFunction(group, vals), f"chi_{i}", irreducible=True)
-        for i, vals in enumerate(rows)
-    ]
-    result = CharacterTable(group, chars)
+            cols.append(_entry(o, tuple((j, mj) for j, mj in enumerate(mults) if mj), e // o))
+        rows.append((degree, ClassFunction.from_lifted(group, e, 1, cols)))
+    rows.sort(key=lambda row: (row[0], [v.to_text() for v in row[1].values]))
+    result = _rows(group, [(f"chi_{i}", f) for i, (_, f) in enumerate(rows)])
     verify_table(result)
     return result
 
@@ -568,9 +625,39 @@ class Decomposed(Record):
         return sum(map(mul, self.multiplicities, self.table.degrees))
 
 
-@cache
 def restrict(pair: NormalPair, chi: Character | ClassFunction) -> Decomposed:
     """Pull a G-character back along the embedding of N: its lifted columns at N's classes."""
+    return _memoised(_restriction, pair, pair.G, chi)
+
+
+def induce(pair: NormalPair, phi: Character | ClassFunction) -> Decomposed:
+    """Induce an N-character up to G (zero off the classes meeting N).
+
+    (Ind phi)(g) = (1/|N|) sum over N-classes c of counts[c] * phi(c), with
+    the counts of pair.induction_profile(), is summed on phi's lifted terms:
+    the result stays lifted, over |N| * D."""
+    return _memoised(_induction, pair, pair.N, phi)
+
+
+def _memoised(compute, pair: NormalPair, group: FiniteGroup, f) -> Decomposed:
+    """compute(pair, f), memoised.  A row of table(group), as the Character
+    or as its base, is found by identity and memoised by its index, so no
+    value of it is read; anything else is memoised by its values."""
+    i = table(group).row_of(f)
+    return _by_value(compute, pair, f) if i is None else _by_row(compute, pair, group, i)
+
+
+@cache
+def _by_row(compute, pair: NormalPair, group: FiniteGroup, i: int) -> Decomposed:
+    return compute(pair, table(group)[i])
+
+
+@cache
+def _by_value(compute, pair: NormalPair, f) -> Decomposed:
+    return compute(pair, f)
+
+
+def _restriction(pair: NormalPair, chi: Character | ClassFunction) -> Decomposed:
     base = chi.base if isinstance(chi, Character) else chi
     if base.group is not pair.G:
         raise DomainError("character does not belong to the pair's big group")
@@ -580,13 +667,7 @@ def restrict(pair: NormalPair, chi: Character | ClassFunction) -> Decomposed:
     return Decomposed(f, tbl.decompose(f), tbl)
 
 
-@cache
-def induce(pair: NormalPair, phi: Character | ClassFunction) -> Decomposed:
-    """Induce an N-character up to G (zero off the classes meeting N).
-
-    (Ind phi)(g) = (1/|N|) sum over N-classes c of counts[c] * phi(c), with
-    the counts of pair.induction_profile(), is summed on phi's lifted terms:
-    the result stays lifted, over |N| * D."""
+def _induction(pair: NormalPair, phi: Character | ClassFunction) -> Decomposed:
     base = phi.base if isinstance(phi, Character) else phi
     if base.group is not pair.N:
         raise DomainError("character does not belong to the pair's subgroup")

@@ -501,12 +501,6 @@ def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
     return Cyclotomic._canonical_form(n, 1, tuple(reduce_mod_phi(n, vec)))
 
 
-def root_sum(n: int, counts) -> Cyclotomic:
-    """sum_j counts[j] * zeta_n^j for integer counts, reduced modulo Phi_n and
-    canonicalised once."""
-    return Cyclotomic._unlift(n, 1, reduce_mod_phi(n, list(counts)))
-
-
 def one_minus_product(values) -> list[int]:
     """Coefficients of prod over v in values of (1 - v t), lowest degree first
     (len(values) + 1 of them); each must be a rational integer.

@@ -47,7 +47,7 @@ class Basis(Record):
         return tuple(sum(map(mul, mv, degs)) for mv in self.mult_vectors)
 
     def index_of_origin(self, label: str) -> int:
-        oi = table(getattr(self.pair, self.origin_group)).labels.index(label)
+        oi = table(getattr(self.pair, self.origin_group)).index(label)
         for i, orig in enumerate(self.origins):
             if oi in orig:
                 return i

@@ -5,6 +5,8 @@ library lowers a value by one projection per prime and inverts by the Galois
 norm; the Galois-orbit lowering and the linear-solve inverse it replaced are
 kept here as the independent path.  The library reads fusion coefficients
 off disjoint constituents; the linear solve it replaced is kept here too.
+The library's cyclic and binary dihedral tables are born lifted; the
+builders they replaced, which add `root_of_unity` values, are kept here.
 
 The oracles read a value only through its `coeffs` (Fractions), never through
 the library's stored integer coordinates or its `terms`, and compute in
@@ -19,6 +21,7 @@ from mckay_slodowy.cyclotomic import (
     euler_phi,
     prime_factors,
     reduce_mod_phi,
+    root_of_unity,
     unlift,
 )
 from mckay_slodowy.linalg import _eliminate
@@ -163,3 +166,23 @@ def solve_inverse(x: Cyclotomic) -> Cyclotomic:
     cols = [reduce_mod_phi(n, [Fraction(0)] * j + list(x.coeffs)) for j in range(deg)]
     rows = [[col[i] for col in cols] for i in range(deg)]
     return canonical_value(*orbit_canonical(n, solve_exact(rows, [1] + [0] * (deg - 1))))
+
+
+def cyclic_table_values(n: int) -> list[tuple[str, list[Cyclotomic]]]:
+    """The (label, values) rows of the table of C_n, value by value:
+    xi_i(z^k) = zeta_n^(ik)."""
+    return [(f"xi_{i}", [root_of_unity(n, i * k) for k in range(n)]) for i in range(n)]
+
+
+def binary_dihedral_table_values(n: int) -> list[tuple[str, list[Cyclotomic]]]:
+    """The (label, values) rows of the table of BD_n, value by value, on the
+    classes 1, -1, x, ..., x^{n-1}, y, yx, with sqrt((-1)^n) pinned to zeta_4^n."""
+    s = root_of_unity(4, n)
+    data = [(lbl, [1] * (n + 1) + [eps, eps]) for eps, lbl in ((1, "delta_0^+"), (-1, "delta_0^-"))]
+    for i in range(1, n):
+        vals = [2, 2 * (-1) ** i]
+        vals += [root_of_unity(2 * n, i * j) + root_of_unity(2 * n, -i * j) for j in range(1, n)]
+        data.append((f"delta_{i}", vals + [0, 0]))
+    for eps, lbl in ((1, f"delta_{n}^+"), (-1, f"delta_{n}^-")):
+        data.append((lbl, [1, (-1) ** n] + [(-1) ** j for j in range(1, n)] + [eps * s, -eps * s]))
+    return [(lbl, [Cyclotomic(v) for v in vals]) for lbl, vals in data]

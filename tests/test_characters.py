@@ -19,7 +19,7 @@ from mckay_slodowy.characters import (
 )
 from mckay_slodowy.cyclotomic import Cyclotomic, root_of_unity, sqrt2
 from mckay_slodowy.errors import CheckFailure, DomainError
-from mckay_slodowy.groups import family, generate, normal_pair, Permutation
+from mckay_slodowy.groups import FAMILIES, family, generate, normal_pair, Permutation
 from oracles import weighted_dot
 
 W = root_of_unity(3)
@@ -250,12 +250,16 @@ def test_frobenius_reciprocity():
     assert m[s4.labels.index("rho_1")][a4.labels.index("phi_1")] == 1
 
 
-@pytest.mark.parametrize(
-    "name,n",
-    [("cyclic", 3), ("cyclic", 7), ("alternating4", None), ("symmetric4", None),
-     ("binary_tetrahedral", None), ("binary_octahedral", None)]
-    + [("binary_dihedral", n) for n in range(2, 9)],
-)
+# every family group of order <= 48
+SMALL_FAMILY_GROUPS = [
+    (name, n)
+    for name, row in FAMILIES.items()
+    for n in ([None] if row.n_min is None else range(row.n_min, 49))
+    if row.order(n) <= 48
+]
+
+
+@pytest.mark.parametrize("name,n", SMALL_FAMILY_GROUPS)
 def test_numeric_oracle_agrees_with_exact_table(name, n):
     G = family(name, n)
     exact = sorted(tuple(v.to_text() for v in c.values) for c in table(G))
@@ -283,6 +287,30 @@ def test_class_function_requires_matching_length():
     G = family("cyclic", 3)
     with pytest.raises(DomainError):
         ClassFunction(G, [Cyclotomic(1)])
+
+
+@pytest.mark.parametrize(
+    "m,den,cols,match",
+    [
+        (4, 1, [], "0 values for 4 classes"),
+        (4, 1, [((0, 1),)] * 3, "3 values for 4 classes"),
+        (4, 1, [((0, 1),)] * 5, "5 values for 4 classes"),
+        (4, 0, [((0, 1),)] * 4, "positive integers m and D"),
+        (4, -2, [((0, 1),)] * 4, "positive integers m and D"),
+        (0, 1, [((0, 1),)] * 4, "positive integers m and D"),
+        (4.0, 1, [((0, 1),)] * 4, "positive integers m and D"),
+        (4, Fraction(1), [((0, 1),)] * 4, "positive integers m and D"),
+    ],
+)
+def test_a_lifted_form_of_the_wrong_shape_is_a_domain_error(m, den, cols, match):
+    with pytest.raises(DomainError, match=match):
+        ClassFunction.from_lifted(family("cyclic", 4), m, den, cols)
+
+
+def test_an_unknown_label_is_a_domain_error_naming_the_group_and_its_labels():
+    G = normal_pair("A2n^2", 3).G
+    with pytest.raises(DomainError, match=rf"no irreducible 'nope' of {G.name}, whose labels are \['delta_0\^\+'"):
+        table(G)["nope"]
 
 
 @pytest.mark.parametrize("bad", [0.5, "1"])

@@ -15,7 +15,6 @@ from mckay_slodowy.cyclotomic import (
     euler_phi,
     reduce_mod_phi,
     root_of_unity,
-    root_sum,
     sqrt2,
     sqrt_minus1,
     unlift,
@@ -358,7 +357,7 @@ def test_rational_results_match_raw(terms):
     want = from_fractions(m, acc)
     assert want.is_rational()
     den = math.lcm(1, *(a.denominator for a in acc))
-    summed = root_sum(m, reduce_mod_phi(m, [int(a * den) for a in acc])) * Fraction(1, den)
+    summed = unlift(m, 1, reduce_mod_phi(m, [int(a * den) for a in acc])) * Fraction(1, den)
     for got in (weighted_dot(ones, xs, ones), linear_combination(ones, xs), summed):
         assert _same(got, want)
         assert all(type(c) is Fraction for c in got.coeffs)

@@ -2,7 +2,8 @@
 oracles: induction by one linear_combination per class, products and powers
 of chi_V as Cyclotomic products, sums, scalars and conjugates value by value,
 and the eigenvector check row by row on Cyclotomic values; fusion
-coefficients read off constituents against the linear solve.  The
+coefficients read off constituents against the linear solve; the born-lifted
+cyclic and binary dihedral tables against the value-built ones.  The
 brute-force series has its Cyclotomic-power oracle in test_poincare."""
 from fractions import Fraction
 from itertools import islice
@@ -10,7 +11,7 @@ from itertools import islice
 import pytest
 
 from mckay_slodowy import characters, cyclotomic, groups
-from mckay_slodowy.characters import ClassFunction, _lifted_combination, induce, inner_product, table
+from mckay_slodowy.characters import ClassFunction, _lifted_combination, induce, inner_product, restrict, table
 from mckay_slodowy.cyclotomic import root_of_unity
 from mckay_slodowy.errors import CheckFailure
 from mckay_slodowy.groups import PAIR_N_MIN, family, normal_pair, pair_from_groups
@@ -21,9 +22,16 @@ from mckay_slodowy.mckay import (
     eigenvector_check,
     fusion_matrices,
     induction_basis,
+    restriction_basis,
 )
 from mckay_slodowy.poincare import _powers, series_cramer
-from oracles import linear_combination, solve_exact, weighted_dot
+from oracles import (
+    binary_dihedral_table_values,
+    cyclic_table_values,
+    linear_combination,
+    solve_exact,
+    weighted_dot,
+)
 
 FIXED = [("E6^2", None), ("D4^3", None), ("A2^2", None), ("S4A4", None)]
 SEVEN = [("A2n-1^2", 3), ("Dn+1^2", 3), ("A2n^2", 3)] + FIXED
@@ -181,7 +189,8 @@ def _counting_unlift(monkeypatch):
 
 def test_series_cramer_materialises_no_induced_value(monkeypatch):
     G, N = family("binary_dihedral", 10), family("cyclic", 10)
-    table(G), table(N)
+    for chi in (*table(G), *table(N)):
+        chi.values  # rows are born lifted; their values are read here, before counting
     pair = pair_from_groups(G, N)  # a new pair, so nothing is cached for it yet
     pair.default_v_label = "delta_1"
     calls = _counting_unlift(monkeypatch)
@@ -192,6 +201,44 @@ def test_series_cramer_materialises_no_induced_value(monkeypatch):
     assert data.ibasis.members[1].values[0] == data.ibasis.degrees[1]
     assert len(calls) == len(G.classes)
     data.ibasis.members[1].values
+    assert len(calls) == len(G.classes)
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [("cyclic", n) for n in range(2, 61)] + [("binary_dihedral", n) for n in range(2, 41)],
+)
+def test_born_lifted_tables_match_the_value_built_oracle(name, n):
+    want = {"cyclic": cyclic_table_values, "binary_dihedral": binary_dihedral_table_values}[name](n)
+    tbl = table(family(name, n))
+    assert tbl.labels == [lbl for lbl, _ in want]
+    for chi, (_, values) in zip(tbl, want):
+        assert chi.values == tuple(values)
+
+
+def _fresh(name, n):
+    """A family group built anew, outside the family memo, so no table of it
+    exists yet and none of its values has been read."""
+    return groups._family_cached.__wrapped__(name, n, groups._max_order(None))
+
+
+def test_the_compute_path_reads_no_table_value(monkeypatch):
+    G, N = _fresh("binary_dihedral", 10), _fresh("cyclic", 10)
+    pair = pair_from_groups(G, N)
+    calls = _counting_unlift(monkeypatch)
+    gt, nt = table(G), table(N)
+    V = gt["delta_1"]
+    data = fusion_matrices(pair, V)
+    assert data.rbasis is restriction_basis(pair) and data.ibasis is induction_basis(pair)
+    # memoising _fusion_matrices on V hashes V, which reads V's own row
+    assert len(calls) == len(G.classes)
+    V.values
+    assert len(calls) == len(G.classes)
+    assert all(chi.base._values is None for chi in (*gt, *nt) if chi is not V)
+    # a row, as the Character or as its base, is one memo entry
+    for tbl, memoised in ((gt, restrict), (nt, induce)):
+        for chi in tbl:
+            assert memoised(pair, chi) is memoised(pair, chi) is memoised(pair, chi.base)
     assert len(calls) == len(G.classes)
 
 
@@ -214,6 +261,8 @@ def test_sums_scalars_and_conjugates_build_no_value(monkeypatch):
     tbl = table(family("binary_dihedral", 5))
     f, g = _stretched(tbl[2].base, 2, 3), _stretched(tbl[3].base, 3, 2)
     w = root_of_unity(3)
+    for chi in tbl:
+        chi.values  # rows are born lifted; their values are read here, before counting
     calls = _counting_unlift(monkeypatch)
     results = [f + g, 3 * f, f * Fraction(1, 2), f * w, w * f, f.conj(), _lifted_combination((2, -1), (f, g))]
     assert calls == []

@@ -131,6 +131,12 @@ def test_the_two_sides_keep_their_basis_types():
         InductionBasis(**{**ib_fields, "origins": ib.origins[1:]}).index_of_origin("phi_0")
 
 
+def test_an_unknown_origin_label_is_a_domain_error_naming_the_labels():
+    rb = restriction_basis(normal_pair("S4A4"))
+    with pytest.raises(DomainError, match=r"no irreducible 'nope' of .*'rho_0\^\+', 'rho_0\^-'"):
+        rb.index_of_origin("nope")
+
+
 def test_fusion_matrices_s4a4():
     d = fusion_matrices(normal_pair("S4A4"))
     assert d.A == ((0, 0, 1), (0, 0, 1), (1, 2, 2))
