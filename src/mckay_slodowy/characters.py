@@ -10,17 +10,18 @@ value is canonicalised only when it is read.
 """
 from __future__ import annotations
 
-from functools import cache
-from math import gcd, isqrt, lcm
+from functools import cache, cached_property
+from math import isqrt, lcm
 from operator import mul
 
 from .cyclotomic import (
     Cyclotomic,
+    from_terms,
     prime_factors,
     reduce_mod_phi,
+    reduced,
     root_of_unity,
     sqrt2,
-    unlift,
 )
 from .errors import CheckFailure, DomainError
 from .groups import FiniteGroup, NormalPair
@@ -76,7 +77,7 @@ class ClassFunction:
         vals = self._values
         if vals is None:
             m, den, cols = self._lifted
-            vals = tuple(_unlifted(m, den, terms) for terms in cols)
+            vals = tuple(from_terms(m, den, terms) for terms in cols)
             object.__setattr__(self, "_values", vals)
         return vals
 
@@ -85,12 +86,12 @@ class ClassFunction:
         if self._values is not None:
             return self._values[c]
         m, den, cols = self._lifted
-        return _unlifted(m, den, cols[c])
+        return from_terms(m, den, cols[c])
 
     def is_zero_at(self, c: int) -> bool:
         """Whether f vanishes at class c, read off the lifted form."""
         m, _, cols = self.lifted()
-        return not cols[c] or not any(_reduced(m, cols[c]))
+        return not cols[c] or not any(reduced(m, cols[c]))
 
     def lifted(self) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
         """The lifted form (m, D, cols); a function built from values is
@@ -100,10 +101,7 @@ class ClassFunction:
             vals = self._values
             m = lcm(self.group.exponent(), *(v.conductor for v in vals))
             den = lcm(1, *(v.den for v in vals))
-            lf = (m, den, tuple(
-                tuple((j * (m // v.conductor), c * (den // v.den)) for j, c in v.terms())
-                for v in vals
-            ))
+            lf = (m, den, tuple(v.terms_at(m, den) for v in vals))
             object.__setattr__(self, "_lifted", lf)
         return lf
 
@@ -174,29 +172,12 @@ def _lifted_combination(coeffs, fs) -> ClassFunction:
     return ClassFunction.from_lifted(fs[0].group, m, den, cols)
 
 
-def _reduced(m: int, terms) -> list[int]:
-    """Sparse (exponent, integer) terms of Z[x]/(x^m - 1) as a vector reduced modulo Phi_m."""
-    acc = [0] * m
-    for a, u in terms:
-        acc[a] += u
-    return reduce_mod_phi(m, acc)
-
-
-def _unlifted(m: int, den: int, terms) -> Cyclotomic:
-    """The canonical value of the terms over den, reduced and unlifted at
-    their least level m/g, g the gcd of m and the exponents, so lowering
-    starts as low as the terms allow."""
-    terms = tuple(terms)
-    g = gcd(m, *(a for a, _ in terms))
-    return unlift(m // g, den, _reduced(m // g, [(a // g, u) for a, u in terms]))
-
-
 def _entry(m: int, terms: tuple, step: int = 1) -> tuple[tuple[int, int], ...]:
     """A table entry given by its terms at level m, as its terms at level
     m * step, or as its one constant term (none for 0) when it is rational:
     pairings among rational entries then stay constant blocks, which need
     no reduction."""
-    vec = _reduced(m, terms)
+    vec = reduced(m, terms)
     if not any(vec[1:]):
         return ((0, vec[0]),) if vec[0] else ()
     return tuple((a * step, u) for a, u in terms) if step > 1 else terms
@@ -266,9 +247,21 @@ class CharacterTable:
         itself (not an equal copy), else None; no value is read."""
         return self._row_ids.get(id(f))
 
-    @property
+    @cached_property
     def degrees(self) -> list[int]:
+        """chi(1) for each row, read once per table."""
         return [c.degree for c in self.irreducibles]
+
+    @cached_property
+    def trivial(self) -> int:
+        """The index of the trivial character: the row whose lifted columns
+        are all the one term (0, D), the way every table writes the value 1,
+        so no value is read."""
+        for i, chi in enumerate(self.irreducibles):
+            _, den, cols = chi.base.lifted()
+            if all(col == ((0, den),) for col in cols):
+                return i
+        raise CheckFailure(f"no trivial character in the table of {self.group.name or 'the group'}")
 
     def decompose(self, f: ClassFunction) -> tuple[int, ...]:
         """Multiplicities of the irreducibles in f (must be non-negative
@@ -301,7 +294,7 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     modulo Phi_m once and unlifted once, over |G| * D."""
     m, den, cols = (a * b.conj()).lifted()
     terms = ((e, size * u) for size, col in zip(a.group.class_sizes(), cols) for e, u in col)
-    return _unlifted(m, a.group.order * den, terms)
+    return from_terms(m, a.group.order * den, terms)
 
 
 # -- the lifted dual: every pairing <f, chi_i> in one pass ---------------------
@@ -587,7 +580,7 @@ def verify_table(tbl: CharacterTable) -> None:
     k = len(tbl.irreducibles)
     if k != len(group.classes):
         raise CheckFailure(f"{k} irreducibles for {len(group.classes)} classes")
-    if sum(c.degree**2 for c in tbl.irreducibles) != group.order:
+    if sum(d * d for d in tbl.degrees) != group.order:
         raise CheckFailure("sum of squared degrees does not equal the group order")
     # rows[j] = (den, vecs) with vecs[i] the lifted den * <chi_j, chi_i>
     rows = [_pairings(tbl, chi.base) for chi in tbl.irreducibles]

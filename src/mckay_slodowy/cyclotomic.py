@@ -81,15 +81,21 @@ def reduce_mod_phi(n: int, coeffs: list) -> list:
     return c
 
 
+def reduced(m: int, terms) -> list:
+    """Sparse (exponent, coefficient) terms of Z[x]/(x^m - 1), exponents read
+    modulo m, as the vector reduced modulo Phi_m (length phi(m)).  Integer
+    terms give an integer vector."""
+    acc = [0] * m
+    for a, u in terms:
+        acc[a % m] += u
+    return reduce_mod_phi(m, acc)
+
+
 def _galois_apply(n: int, ints, k: int) -> list:
     # sum_j ints[j] zeta_n^(jk), reduced: for k coprime to n the automorphism
     # zeta -> zeta^k, for k = n/d the embedding of coordinates at conductor d;
     # both keep a vector's content, so the image stays over the same D
-    out = [0] * n
-    for j, c in enumerate(ints):
-        if c:
-            out[(j * k) % n] += c
-    return reduce_mod_phi(n, out)
+    return reduced(n, ((j * k, c) for j, c in enumerate(ints) if c))
 
 
 def _lower_once(n: int, den: int, ints: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]] | None:
@@ -138,7 +144,7 @@ class Cyclotomic:
     """An exact element of Q(zeta_n), immutable and hashable: the integer
     coordinates `ints` at the minimal conductor over the denominator `den`."""
 
-    __slots__ = ("conductor", "den", "ints", "_hash", "_conj")
+    __slots__ = ("conductor", "den", "ints", "_hash")
 
     def __init__(self, value: int | Fraction | "Cyclotomic" = 0):
         if isinstance(value, Cyclotomic):
@@ -149,7 +155,7 @@ class Cyclotomic:
             raise TypeError(f"a Cyclotomic is an int, a Fraction or a Cyclotomic, not {type(value).__name__}")
 
     def _set(self, n: int, den: int, ints: tuple[int, ...]) -> None:
-        for name, value in zip(self.__slots__, (n, den, ints, None, None)):
+        for name, value in zip(self.__slots__, (n, den, ints, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -159,19 +165,10 @@ class Cyclotomic:
     def _unlift(cls, n: int, den: int, ints) -> "Cyclotomic":
         """The canonical value of sum_j ints[j] zeta_n^j / den, for integer
         coordinates reduced modulo Phi_n and a positive denominator; the one
-        constructor, public as `unlift`.  A rational value and a single root
-        of unity +-zeta_n^k are built directly."""
+        constructor, public as `unlift`.  A rational value is built directly."""
         den, (ints,) = normalise_lifted(den, (ints,))
         if not any(ints[1:]):
             return cls._canonical_form(1, den, ints[:1])
-        if den == 1:
-            exponents = _root_exponents(n)
-            k = exponents.get(ints)
-            if k is not None:
-                return root_of_unity(n, k)
-            k = exponents.get(tuple(-c for c in ints))
-            if k is not None:
-                return -root_of_unity(n, k)
         return cls._canonical_form(*_canonical_cached(n, den, ints))
 
     @classmethod
@@ -197,9 +194,12 @@ class Cyclotomic:
         """The power-basis coefficients at the conductor, as Fractions."""
         return tuple(Fraction(c, self.den) for c in self.ints)
 
-    def terms(self) -> tuple[tuple[int, int], ...]:
-        """The nonzero (j, den * coefficient of zeta_n^j) pairs, all integers."""
-        return tuple((j, c) for j, c in enumerate(self.ints) if c)
+    def terms_at(self, m: int, den: int) -> tuple[tuple[int, int], ...]:
+        """The nonzero terms (j * m/n, c * den/D) of den * self in
+        Z[x]/(x^m - 1), for m a multiple of the conductor n and den one of
+        the denominator D; they are not reduced modulo Phi_m."""
+        s, t = m // self.conductor, den // self.den
+        return tuple((j * s, c * t) for j, c in enumerate(self.ints) if c)
 
     # -- predicates / conversions ------------------------------------
 
@@ -234,7 +234,7 @@ class Cyclotomic:
 
     def _embedded(self, m: int) -> list[int]:
         """The coordinates at conductor m (a multiple of the conductor), over `den`."""
-        return _galois_apply(m, self.ints, m // self.conductor)
+        return reduced(m, self.terms_at(m, self.den))
 
     @staticmethod
     def _coerce(x) -> "Cyclotomic | None":
@@ -249,8 +249,7 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         m, den = lcm(self.conductor, o.conductor), lcm(self.den, o.den)
-        s, t = den // self.den, den // o.den
-        return Cyclotomic._unlift(m, den, [s * x + t * y for x, y in zip(self._embedded(m), o._embedded(m))])
+        return Cyclotomic._unlift(m, den, reduced(m, self.terms_at(m, den) + o.terms_at(m, den)))
 
     __radd__ = __add__
 
@@ -279,14 +278,9 @@ class Cyclotomic:
         if hit is not None:
             return hit
         m = lcm(self.conductor, o.conductor)
-        a, b = self._embedded(m), o._embedded(m)
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        result = Cyclotomic._unlift(m, self.den * o.den, reduce_mod_phi(m, prod))
+        b = o.terms_at(m, o.den)
+        prod = reduced(m, [(i + j, x * y) for i, x in self.terms_at(m, self.den) for j, y in b])
+        result = Cyclotomic._unlift(m, self.den * o.den, prod)
         if len(_MUL_CACHE) < _CACHE_LIMIT:
             _MUL_CACHE[key] = result
         return result
@@ -339,13 +333,7 @@ class Cyclotomic:
         return Cyclotomic._canonical_form(n, self.den, tuple(_galois_apply(n, self.ints, k % n)))
 
     def conj(self) -> "Cyclotomic":
-        if self.conductor == 1:
-            return self
-        cached = self._conj
-        if cached is None:
-            cached = self.galois(self.conductor - 1)
-            object.__setattr__(self, "_conj", cached)
-        return cached
+        return self if self.conductor == 1 else self.galois(self.conductor - 1)
 
     # -- comparisons / formatting ---------------------------------------
 
@@ -423,18 +411,12 @@ class Cyclotomic:
 
     @classmethod
     def _parsed(cls, n: int, coeffs: list[Fraction]) -> "Cyclotomic":
-        """The value sum_j coeffs[j] * zeta_n^j of a parsed literal.  With g
-        the gcd of n and the indices of the nonzero coefficients, zeta_n^j =
-        zeta_(n/g)^(j/g), so the literal is read at conductor n/g first; a
-        rational one never meets Phi_n."""
+        """The value sum_j coeffs[j] * zeta_n^j of a parsed literal; a literal
+        may list more than n coefficients, and zeta_n^j = zeta_n^(j mod n)."""
         if n < 1:
             raise ValueError("conductor must be a positive integer")
-        g = gcd(n, *(j for j, c in enumerate(coeffs) if c))
-        n, coeffs = n // g, coeffs[::g]
-        if n == 1:
-            return cls(sum(coeffs))
-        den = lcm(*(c.denominator for c in coeffs))
-        return cls._unlift(n, den, reduce_mod_phi(n, [c.numerator * (den // c.denominator) for c in coeffs]))
+        den = lcm(1, *(c.denominator for c in coeffs))
+        return from_terms(n, den, [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(coeffs) if c])
 
     def __repr__(self):
         if self.is_rational():
@@ -465,6 +447,16 @@ def normalise_lifted(den: int, vecs) -> tuple[int, tuple[tuple[int, ...], ...]]:
 unlift = Cyclotomic._unlift
 
 
+def from_terms(m: int, den: int, terms) -> Cyclotomic:
+    """The canonical value of sparse (exponent, integer) terms of
+    Z[x]/(x^m - 1) over a positive den: reduced and unlifted at their least
+    level m/g, g the gcd of m and the exponents, so lowering starts as low
+    as the terms allow."""
+    terms = tuple(terms)
+    g = gcd(m, *(a for a, _ in terms))
+    return unlift(m // g, den, reduced(m // g, [(a // g, u) for a, u in terms]))
+
+
 @lru_cache(maxsize=None)
 def _root_exponents(m: int) -> dict[tuple[int, ...], int]:
     """{power-basis vector of zeta_m^k at conductor m, reduced modulo Phi_m: k}
@@ -482,23 +474,10 @@ def _root_exponents(m: int) -> dict[tuple[int, ...], int]:
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
-    """zeta_n^k in canonical (minimal-conductor) form, built directly.  With
-    g = gcd(k, n) it is a primitive (n/g)-th root, whose field has conductor
-    n/g unless n/g = 2d with d odd; then zeta_2d^j = -zeta_d^((j - d)/2)."""
+    """zeta_n^k in canonical (minimal-conductor) form."""
     if n < 1:
         raise ValueError("conductor must be a positive integer")
-    g = gcd(k, n)
-    n = n // g
-    k = k // g % n
-    sign = 1
-    if n % 4 == 2:
-        n //= 2
-        k, sign = (k - n) // 2 % n, -1
-    if n == 1:
-        return Cyclotomic(sign)
-    vec = [0] * (k + 1)
-    vec[k] = sign
-    return Cyclotomic._canonical_form(n, 1, tuple(reduce_mod_phi(n, vec)))
+    return from_terms(n, 1, ((k % n, 1),))
 
 
 def one_minus_product(values) -> list[int]:
@@ -513,7 +492,7 @@ def one_minus_product(values) -> list[int]:
     den = lcm(1, *(v.den for v in values))
     rows = [[1] + [0] * (m - 1)]
     for v in values:
-        terms = [(j * (m // v.conductor), c * (den // v.den)) for j, c in v.terms()]
+        terms = v.terms_at(m, den)
         rows.append([0] * m)
         # times (1 - v t): each row less v times the one below, highest first
         for row, prev in zip(rows[:0:-1], rows[-2::-1]):

@@ -70,12 +70,12 @@ class InductionBasis(Basis):
 
 
 def _distinct(pair: NormalPair, decs, what: str):
-    """One member per support (set of constituents), in order of first
-    appearance, with the indices of the functions of that support, the
-    member's own first.  By Clifford's theorem two functions of one support
-    are multiples of one orbit sum, and supports of distinct orbits are
-    disjoint; the member is the least multiple, on a tie the first in table
-    order."""
+    """One member per support (set of constituents), the support holding the
+    trivial character first and the others in order of first appearance,
+    with the indices of the functions of that support, the member's own
+    first.  By Clifford's theorem two functions of one support are multiples
+    of one orbit sum, and supports of distinct orbits are disjoint; the
+    member is the least multiple, on a tie the first in table order."""
     supports: dict[tuple[int, ...], list[int]] = {}
     for i, dec in enumerate(decs):
         supports.setdefault(tuple(j for j, m in enumerate(dec.multiplicities) if m), []).append(i)
@@ -83,8 +83,10 @@ def _distinct(pair: NormalPair, decs, what: str):
         raise CheckFailure(
             f"{len(supports)} distinct {what} but |Upsilon(N)| = {len(pair.upsilonN)}"
         )
+    # the series count invariants at vertex 0, so the trivial module is member 0
+    trivial = decs[0].table.trivial
     members, origins = [], []
-    for same in supports.values():
+    for _, same in sorted(supports.items(), key=lambda item: trivial not in item[0]):
         least = min(same, key=lambda i: sum(decs[i].multiplicities))
         members.append(decs[least])
         origins.append([least] + [i for i in same if i != least])

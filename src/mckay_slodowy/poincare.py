@@ -6,7 +6,6 @@ restriction-side and induction-side series.
 """
 from __future__ import annotations
 
-import threading
 from collections import deque
 from fractions import Fraction
 from functools import cache
@@ -41,8 +40,8 @@ def _checked_count(name: str, value) -> int:
 
 
 class RationalSeries:
-    """numerator/denominator in Z[t] (reduced, denominator constant term 1)
-    together with a lazily extended coefficient stream."""
+    """numerator/denominator in Z[t] (reduced, denominator constant term 1),
+    and nothing else: each read of coefficients runs the recurrence."""
 
     def __init__(self, numerator: IntPoly, denominator: IntPoly):
         if denominator.is_zero() or denominator[0] == 0:
@@ -59,28 +58,19 @@ class RationalSeries:
             )
         self.numerator = numerator
         self.denominator = denominator
-        self._stream: list[int] = []
-        self._lock = threading.Lock()
 
     def coefficient(self, k: int) -> int:
-        self._extend(_checked_count("k", k))
-        return self._stream[k]
+        return self.coefficients(_checked_count("k", k) + 1)[k]
 
     def coefficients(self, count: int) -> list[int]:
-        self._extend(_checked_count("count", count) - 1)
-        return self._stream[:count]
-
-    def _extend(self, upto: int) -> None:
-        if upto < len(self._stream):
-            return
-        with self._lock:
-            d = self.denominator
-            while len(self._stream) <= upto:
-                k = len(self._stream)
-                acc = self.numerator[k]
-                for i in range(1, min(k, d.degree) + 1):
-                    acc -= d[i] * self._stream[k - i]
-                self._stream.append(acc)
+        # c_k = a_k - sum_{i >= 1} d_i c_(k-i), from numerator = denominator * series
+        d, out = self.denominator, []
+        for k in range(_checked_count("count", count)):
+            acc = self.numerator[k]
+            for i in range(1, min(k, d.degree) + 1):
+                acc -= d[i] * out[k - i]
+            out.append(acc)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):

@@ -9,7 +9,7 @@ The library's cyclic and binary dihedral tables are born lifted; the
 builders they replaced, which add `root_of_unity` values, are kept here.
 
 The oracles read a value only through its `coeffs` (Fractions), never through
-the library's stored integer coordinates or its `terms`, and compute in
+the library's stored integer coordinates or its `terms_at`, and compute in
 Fractions, so they share no arithmetic with the integer kernel."""
 from fractions import Fraction
 from functools import cache
@@ -186,3 +186,31 @@ def binary_dihedral_table_values(n: int) -> list[tuple[str, list[Cyclotomic]]]:
     for eps, lbl in ((1, f"delta_{n}^+"), (-1, f"delta_{n}^-")):
         data.append((lbl, [1, (-1) ** n] + [(-1) ** j for j in range(1, n)] + [eps * s, -eps * s]))
     return [(lbl, [Cyclotomic(v) for v in vals]) for lbl, vals in data]
+
+
+def _generated(G, seeds) -> frozenset[int]:
+    """The element indices of the subgroup of G generated by the indices in seeds."""
+    out, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for s in seeds:
+            y = G.mul(x, s)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return frozenset(out)
+
+
+def normal_subgroups(G) -> list[frozenset[int]]:
+    """Every normal subgroup of G as a set of element indices, smallest first.
+
+    The normal closure of x is generated by x's class, and a normal subgroup
+    is the join of the normal closures of its elements (Isaacs, Character
+    Theory of Finite Groups, ch. 2), so the closures of the classes, joined
+    until no new subgroup appears, are all of them."""
+    found = {_generated(G, cls) for cls in G.classes}
+    while True:
+        joined = found | {_generated(G, a | b) for a in found for b in found}
+        if joined == found:
+            return sorted(found, key=lambda sub: (len(sub), sorted(sub)))
+        found = joined

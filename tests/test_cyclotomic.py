@@ -13,6 +13,7 @@ from mckay_slodowy.cyclotomic import (
     _canonical_cached,
     cyclotomic_polynomial,
     euler_phi,
+    from_terms,
     reduce_mod_phi,
     root_of_unity,
     sqrt2,
@@ -384,7 +385,7 @@ def test_a_value_is_integers_over_one_least_denominator(x, y, r):
         # coeffs are the coordinates over D, and D is their least common denominator
         assert [c * v.den for c in v.coeffs] == list(v.ints)
         assert v.den == math.lcm(*(c.denominator for c in v.coeffs))
-        assert v.terms() == tuple((j, c) for j, c in enumerate(v.ints) if c)
+        assert v.terms_at(v.conductor, v.den) == tuple((j, c) for j, c in enumerate(v.ints) if c)
         if v.is_rational():
             q = v.to_rational()
             assert type(q) is Fraction and v == q and hash(v) == hash(q) and q in {v}
@@ -398,8 +399,9 @@ def _root_cases(m):
 
 @pytest.mark.parametrize("m", range(1, 201))
 def test_roots_of_unity_are_built_in_canonical_form(m):
-    # root_of_unity and unlift build +-zeta_m^k directly; the oracle lowers
-    # the reduced vector of x^k step by step through the Galois-fixed subfields
+    # root_of_unity and unlift lower +-zeta_m^k as they lower any value, one
+    # projection per prime; the oracle lowers the reduced vector of x^k step
+    # by step through the Galois-fixed subfields
     for k in _root_cases(m):
         x_k = [0] * (k + 1)
         x_k[k] = 1
@@ -434,6 +436,24 @@ def test_lowering_matches_the_galois_orbit_oracle(n):
         got_n, got_den, got_ints = _canonical_cached.__wrapped__(n, den, tuple(int(c * den) for c in coeffs))
         assert (got_n, tuple(Fraction(c, got_den) for c in got_ints)) == orbit_canonical(n, coeffs), coeffs
         assert all(type(c) is int for c in (got_den, *got_ints)) and math.gcd(got_den, *got_ints) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4, 6, 8, 9, 10, 12, 15, 20, 24, 30]),
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=90), st.integers(min_value=-6, max_value=6)), max_size=8),
+)
+def test_from_terms_matches_the_fraction_oracle(m, den, terms):
+    # unreduced terms over any D, with repeated exponents and exponents past
+    # m; the oracle keeps x^a for a >= m and leaves it to the division by
+    # Phi_m, which divides x^m - 1
+    vec = [Fraction(0)] * (1 + max((a for a, _ in terms), default=0))
+    for a, u in terms:
+        vec[a] += Fraction(u, den)
+    got = from_terms(m, den, terms)
+    assert _same(got, from_fractions(m, vec))
+    assert all(type(c) is int for c in (got.den, *got.ints)) and math.gcd(got.den, *got.ints) == 1
 
 
 def test_unlift_of_other_values_matches_raw():

@@ -10,7 +10,7 @@ from itertools import islice
 
 import pytest
 
-from mckay_slodowy import characters, cyclotomic, groups
+from mckay_slodowy import cyclotomic, groups
 from mckay_slodowy.characters import ClassFunction, _lifted_combination, induce, inner_product, restrict, table
 from mckay_slodowy.cyclotomic import root_of_unity
 from mckay_slodowy.errors import CheckFailure
@@ -182,7 +182,8 @@ def _counting_unlift(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    for module in (cyclotomic, characters, groups):
+    # characters reaches it through cyclotomic.from_terms
+    for module in (cyclotomic, groups):
         monkeypatch.setattr(module, "unlift", counting)
     return calls
 
@@ -240,6 +241,19 @@ def test_the_compute_path_reads_no_table_value(monkeypatch):
         for chi in tbl:
             assert memoised(pair, chi) is memoised(pair, chi) is memoised(pair, chi.base)
     assert len(calls) == len(G.classes)
+
+
+def test_table_degrees_are_read_once_per_table(monkeypatch):
+    G, N = _fresh("binary_dihedral", 9), _fresh("cyclic", 9)
+    data = fusion_matrices(pair_from_groups(G, N), table(G)["delta_1"])
+    calls = _counting_unlift(monkeypatch)
+    first = data.rbasis.degrees, data.ibasis.degrees
+    # class 0 of each row of the two tables, once
+    read = len(calls)
+    assert 0 < read <= len(table(G)) + len(table(N))
+    for _ in range(10):
+        assert (data.rbasis.degrees, data.ibasis.degrees) == first
+    assert len(calls) == read and table(G).degrees is table(G).degrees
 
 
 def test_fusion_data_hashes_by_identity():

@@ -5,7 +5,7 @@ import pytest
 from mckay_slodowy.dynkin import adjacency, catalog_for_size, identify, _isomorphic
 from mckay_slodowy.errors import CheckFailure, DomainError
 from mckay_slodowy.characters import restrict, table
-from mckay_slodowy.groups import Matrix2, family, generate, normal_pair, pair_from_groups
+from mckay_slodowy.groups import Matrix2, Permutation, family, generate, normal_pair, pair_from_groups
 from mckay_slodowy.verify import default_pair_arguments, triple_equivalence_check
 from mckay_slodowy.mckay import (
     InductionBasis,
@@ -326,3 +326,52 @@ def test_one_minus_product():
         one_minus_product([w])
     with pytest.raises(CheckFailure):
         one_minus_product([Cyclotomic(Fraction(1, 2))])
+
+
+def _permutations(name, degree, *gens):
+    return generate([Permutation.from_cycles(degree, *cycles) for cycles in gens], name=name)
+
+
+def test_the_trivial_module_is_vertex_0_whatever_the_table_order():
+    # S4 from permutations gets the oracle's table, sorted by (degree, text),
+    # which lists the sign character before the trivial one; the series
+    # count the invariants at vertex 0, so vertex 0 must be the trivial module
+    S4 = _permutations("S4", 4, [(1, 2, 3, 4)], [(1, 2)])
+    tbl = table(S4)
+    trivial = next(i for i, chi in enumerate(tbl) if set(chi.values) == {1})
+    assert trivial != 0
+    data = fusion_matrices(pair_from_groups(S4, S4, name="(S4, S4)"), tbl["chi_2"])
+    triple_equivalence_check(data, 8)
+    label = tbl.labels[trivial]
+    assert data.rbasis.labels[0] == f"check({label})" and data.ibasis.labels[0] == f"hat({label})"
+    # the table finds the row from its lifted form alone
+    assert tbl.trivial == trivial
+
+
+_PERMUTATION_GROUPS = {
+    "S4": (4, [(1, 2, 3, 4)], [(1, 2)]),
+    "A4": (4, [(1, 2, 3)], [(1, 2), (3, 4)]),
+    "D10": (5, [(1, 2, 3, 4, 5)], [(2, 5), (3, 4)]),
+    "S3xC3": (6, [(1, 2, 3)], [(1, 2)], [(4, 5, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_PERMUTATION_GROUPS))
+def test_every_normal_subgroup_of_a_permutation_group(name):
+    # every normal subgroup N (trivial and G included) with up to three real
+    # irreducible modules V of degree above 1: the oracle tables need not
+    # list the trivial character first
+    from oracles import normal_subgroups
+
+    G = _permutations(name, *_PERMUTATION_GROUPS[name])
+    modules = [chi for chi in table(G) if chi.degree > 1 and chi.base == chi.base.conj()][:3]
+    subgroups = normal_subgroups(G)
+    assert modules and subgroups[0] == {0} and len(subgroups[-1]) == G.order
+    for sub in subgroups:
+        N = generate([G.elements[i] for i in sorted(sub)], name=f"N_{len(sub)}")
+        pair = pair_from_groups(G, N, name=f"({name}, N_{len(sub)})")
+        for V in modules:
+            data = fusion_matrices(pair, V)
+            characteristic_identity_check(data)
+            eigenvector_check(data)
+            triple_equivalence_check(data, 6)

@@ -308,6 +308,9 @@ def test_rational_series_properties():
     assert s.coefficients(5) == [0, 1, 1, 1, 1]
     assert s == RationalSeries(IntPoly([0, 1]), IntPoly([1, -1]))
     assert s.scaled(3).coefficients(3) == [0, 3, 3]
+    # reading coefficients leaves nothing behind
+    assert s.coefficient(7) == 1 and s.coefficients(0) == []
+    assert set(vars(s)) == {"numerator", "denominator"}
     with pytest.raises(DomainError):
         RationalSeries(IntPoly([1]), IntPoly([0, 1]))
 
